@@ -66,7 +66,9 @@ void Run() {
             << " among " << anomalies->size() << " flagged gateway-days\n";
 
   io::PrintSection(std::cout, "Technician context: victim gateway profile");
-  const auto profile = core::ProfileGateway(fleet.Get(victim));
+  const simgen::GatewayTrace& victim_trace = fleet.Get(victim);
+  const auto profile =
+      core::ProfileGateway(victim_trace, core::DeriveGateway(victim_trace));
   if (profile.ok()) {
     std::cout << core::FormatProfile(*profile);
   }

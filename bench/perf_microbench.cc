@@ -40,6 +40,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "sax/sax.h"
 #include "simgen/fleet.h"
 #include "stats/kde.h"
@@ -306,7 +307,7 @@ void RunSimilarityScenario(const std::string& path, size_t n_windows,
         const auto start = Clock::now();
         std::vector<correlation::PreparedSeries> prepared;
         {
-          core::ScopedPhaseTimer timer(&timings, "similarity_engine.prepare");
+          obs::ScopedSpan span("similarity_engine.prepare", &timings);
           prepared = core::SimilarityEngine::PrepareVectors(windows);
         }
         core::SimilarityMatrix trial_matrix = engine.Pairwise(prepared);

@@ -1,6 +1,8 @@
 #include "core/background.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "obs/log.h"
 #include "obs/metric_names.h"
@@ -84,39 +86,36 @@ Result<DeviceBackground> EstimateDeviceBackground(
   return bg;
 }
 
-Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device) {
-  HOMETS_ASSIGN_OR_RETURN(const DeviceBackground bg,
-                          EstimateDeviceBackground(device));
+DerivedGateway DeriveGateway(const simgen::GatewayTrace& gateway) {
+  obs::ScopedSpan span("background.derive_gateway");
   static obs::Counter* const values_zeroed =
       obs::MetricsRegistry::Global().GetCounter(obs::kBackgroundValuesZeroed);
-  values_zeroed->Increment(
-      CountValuesToZero(device.incoming, bg.incoming.tau_back) +
-      CountValuesToZero(device.outgoing, bg.outgoing.tau_back));
-  const ts::TimeSeries in_active =
-      device.incoming.ClipBelow(bg.incoming.tau_back);
-  const ts::TimeSeries out_active =
-      device.outgoing.ClipBelow(bg.outgoing.tau_back);
-  return ts::TimeSeries::Add(in_active, out_active);
+  DerivedGateway view;
+  for (const auto& dev : gateway.devices) {
+    const auto bg = EstimateDeviceBackground(dev);
+    view.background.push_back(bg.ok() ? std::optional(*bg) : std::nullopt);
+    bool clipped = false;
+    if (bg.ok()) {
+      values_zeroed->Increment(
+          CountValuesToZero(dev.incoming, bg->incoming.tau_back) +
+          CountValuesToZero(dev.outgoing, bg->outgoing.tau_back));
+      auto active =
+          ts::TimeSeries::Add(dev.incoming.ClipBelow(bg->incoming.tau_back),
+                              dev.outgoing.ClipBelow(bg->outgoing.tau_back));
+      clipped = active.ok();
+      if (clipped) view.active.Accumulate(std::move(active).value());
+    }
+    // Built once the clipped series are freed, to keep the peak heap down.
+    ts::TimeSeries total = dev.TotalTraffic();
+    if (total.CountObserved() > 0) ++view.devices_observed;
+    if (!clipped) view.active.Accumulate(total);
+    view.aggregate.Accumulate(std::move(total));
+  }
+  return view;
 }
 
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway) {
-  obs::ScopedSpan span("background.active_aggregate");
-  ts::TimeSeries total;
-  bool first = true;
-  for (const auto& dev : gateway.devices) {
-    auto active = ActiveTraffic(dev);
-    ts::TimeSeries part =
-        active.ok() ? std::move(active).value() : dev.TotalTraffic();
-    if (part.empty()) continue;
-    if (first) {
-      total = std::move(part);
-      first = false;
-      continue;
-    }
-    auto sum = ts::TimeSeries::Add(total, part);
-    if (sum.ok()) total = std::move(sum).value();
-  }
-  return total;
+  return DeriveGateway(gateway).active;
 }
 
 }  // namespace homets::core

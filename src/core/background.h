@@ -1,7 +1,9 @@
 #ifndef HOMETS_CORE_BACKGROUND_H_
 #define HOMETS_CORE_BACKGROUND_H_
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "simgen/types.h"
@@ -44,13 +46,23 @@ struct DeviceBackground {
 Result<DeviceBackground> EstimateDeviceBackground(
     const simgen::DeviceTrace& device);
 
-/// \brief Zeroes values below the device's τ_back (per direction) and
-/// returns the active-only total traffic of the device.
-Result<ts::TimeSeries> ActiveTraffic(const simgen::DeviceTrace& device);
+/// \brief The per-gateway derived series (DESIGN.md §15.1), built by one
+/// pass that computes each device's total traffic and τ once. It holds only
+/// gateway-level series and per-device scalars, never a device's series.
+struct DerivedGateway {
+  ts::TimeSeries aggregate;  ///< == GatewayTrace::AggregateTraffic()
+  /// Background-free aggregate: each device's values below τ_back zeroed
+  /// per direction; a device without τ (too few observations — e.g. brief
+  /// guests) is included unfiltered.
+  ts::TimeSeries active;
+  /// Parallel to GatewayTrace::devices; nullopt when τ cannot be estimated.
+  std::vector<std::optional<DeviceBackground>> background;
+  size_t devices_observed = 0;  ///< devices with at least one observation
+};
 
-/// \brief Active-only aggregate of a gateway: per-device background removal,
-/// then summation. Falls back to including a device unfiltered when its τ
-/// cannot be estimated (too few observations — e.g. brief guests).
+DerivedGateway DeriveGateway(const simgen::GatewayTrace& gateway);
+
+/// \brief DeriveGateway(gateway).active.
 ts::TimeSeries ActiveAggregate(const simgen::GatewayTrace& gateway);
 
 }  // namespace homets::core

@@ -81,12 +81,15 @@ std::vector<DominantDevice> RankAndFilter(
   return dominants;
 }
 
-}  // namespace
-
-std::vector<DominantDevice> FindDominantDevices(
-    const simgen::GatewayTrace& gateway, const DominanceOptions& options) {
-  obs::ScopedSpan span("dominance.find");
-  const ts::TimeSeries aggregate = gateway.AggregateTraffic();
+// Definition 4 scoring: each device's `device_series(device)` is compared
+// with `aggregate` on the aggregate's observation grid (devices whose series
+// is empty are skipped when `skip_empty`), then ranked and filtered.
+template <typename DeviceSeries>
+std::vector<DominantDevice> ScoreDevices(const simgen::GatewayTrace& gateway,
+                                         const ts::TimeSeries& aggregate,
+                                         DeviceSeries device_series,
+                                         bool skip_empty,
+                                         const DominanceOptions& options) {
   if (aggregate.empty()) return {};
   SimilarityOptions sim_options;
   sim_options.alpha = options.alpha;
@@ -97,7 +100,11 @@ std::vector<DominantDevice> FindDominantDevices(
   std::vector<double> device_values;
   correlation::PairWorkspace workspace;
   for (size_t d = 0; d < gateway.devices.size(); ++d) {
-    DeviceOnGrid(gateway.devices[d].TotalTraffic(), grid, &device_values);
+    {  // Only the grid values are kept while the device is scored.
+      const ts::TimeSeries series = device_series(gateway.devices[d]);
+      if (skip_empty && series.empty()) continue;
+      DeviceOnGrid(series, grid, &device_values);
+    }
     const SimilarityResult sim = CorrelationSimilarity(
         correlation::PreparedSeries::Make(device_values), prepared_aggregate,
         sim_options, &workspace);
@@ -110,13 +117,28 @@ std::vector<DominantDevice> FindDominantDevices(
   return RankAndFilter(std::move(candidates), options);
 }
 
+}  // namespace
+
+std::vector<DominantDevice> FindDominantDevices(
+    const simgen::GatewayTrace& gateway, const DominanceOptions& options) {
+  return FindDominantDevices(gateway, gateway.AggregateTraffic(), options);
+}
+
+std::vector<DominantDevice> FindDominantDevices(
+    const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
+    const DominanceOptions& options) {
+  obs::ScopedSpan span("dominance.find");
+  return ScoreDevices(
+      gateway, aggregate,
+      [](const simgen::DeviceTrace& device) { return device.TotalTraffic(); },
+      /*skip_empty=*/false, options);
+}
+
 std::vector<DominantDevice> FindDominantDevicesInWindow(
     const simgen::GatewayTrace& gateway, int64_t begin_minute,
     int64_t end_minute, int64_t granularity_minutes,
     int64_t anchor_offset_minutes, const DominanceOptions& options) {
   obs::ScopedSpan span("dominance.find_in_window");
-  const ts::TimeSeries aggregate = gateway.AggregateTraffic();
-  if (aggregate.empty()) return {};
   auto window_of = [&](const ts::TimeSeries& series) -> ts::TimeSeries {
     auto aggregated = ts::Aggregate(series, granularity_minutes,
                                     anchor_offset_minutes, ts::AggKind::kSum);
@@ -127,31 +149,12 @@ std::vector<DominantDevice> FindDominantDevicesInWindow(
     auto slice = aggregated->Slice(begin, end);
     return slice.ok() ? std::move(slice).value() : ts::TimeSeries();
   };
-  const ts::TimeSeries agg_window = window_of(aggregate);
-  if (agg_window.empty()) return {};
-  SimilarityOptions sim_options;
-  sim_options.alpha = options.alpha;
-  const AggregateGrid grid = MakeAggregateGrid(agg_window);
-  const correlation::PreparedSeries prepared_aggregate =
-      correlation::PreparedSeries::Make(grid.values);
-  std::vector<DominantDevice> candidates;
-  std::vector<double> device_values;
-  correlation::PairWorkspace workspace;
-  for (size_t d = 0; d < gateway.devices.size(); ++d) {
-    const ts::TimeSeries dev_window =
-        window_of(gateway.devices[d].TotalTraffic());
-    if (dev_window.empty()) continue;
-    DeviceOnGrid(dev_window, grid, &device_values);
-    const SimilarityResult sim = CorrelationSimilarity(
-        correlation::PreparedSeries::Make(device_values), prepared_aggregate,
-        sim_options, &workspace);
-    DominantDevice candidate;
-    candidate.device_index = d;
-    candidate.similarity = sim.value;
-    candidate.reported_type = gateway.devices[d].reported_type;
-    candidates.push_back(candidate);
-  }
-  return RankAndFilter(std::move(candidates), options);
+  return ScoreDevices(
+      gateway, window_of(gateway.AggregateTraffic()),
+      [&](const simgen::DeviceTrace& device) {
+        return window_of(device.TotalTraffic());
+      },
+      /*skip_empty=*/true, options);
 }
 
 std::vector<size_t> RankDevicesByEuclidean(

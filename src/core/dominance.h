@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "simgen/types.h"
+#include "ts/time_series.h"
 
 namespace homets::core {
 
@@ -31,6 +32,12 @@ struct DominanceOptions {
 /// paper's 4-week dominance analysis.
 std::vector<DominantDevice> FindDominantDevices(
     const simgen::GatewayTrace& gateway, const DominanceOptions& options = {});
+
+/// \brief Definition 4 against a precomputed `aggregate`, which must equal
+/// gateway.AggregateTraffic() (e.g. DerivedGateway::aggregate).
+std::vector<DominantDevice> FindDominantDevices(
+    const simgen::GatewayTrace& gateway, const ts::TimeSeries& aggregate,
+    const DominanceOptions& options = {});
 
 /// \brief Window variant used for per-motif dominance (Section 7.2): device
 /// and gateway traffic are aggregated to `granularity_minutes`

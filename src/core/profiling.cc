@@ -17,20 +17,20 @@ std::string PhaseTimings::Report() const {
 }
 
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
+                                      const DerivedGateway& view,
                                       const ProfilingOptions& options) {
   GatewayProfile profile;
   profile.gateway_id = gateway.id;
 
-  const ts::TimeSeries active = ActiveAggregate(gateway);
+  const ts::TimeSeries& active = view.active;
   if (active.empty() || active.CountObserved() == 0) {
     return Status::InvalidArgument("ProfileGateway: no observations");
   }
-  for (const auto& dev : gateway.devices) {
-    if (dev.TotalTraffic().CountObserved() > 0) ++profile.devices_observed;
-  }
+  profile.devices_observed = view.devices_observed;
 
   // Dominance + resident lower bound (Section 6.2).
-  profile.dominant_devices = FindDominantDevices(gateway, options.dominance);
+  profile.dominant_devices =
+      FindDominantDevices(gateway, view.aggregate, options.dominance);
   profile.min_residents = std::max<size_t>(1, profile.dominant_devices.size());
 
   // Weekly strong stationarity on aggregated active traffic.
@@ -77,13 +77,13 @@ Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
   }
 
   // τ groups per device.
-  for (const auto& dev : gateway.devices) {
-    const auto bg = EstimateDeviceBackground(dev);
-    if (!bg.ok()) continue;
+  for (size_t d = 0; d < gateway.devices.size(); ++d) {
+    if (!view.background[d]) continue;
+    const auto& dev = gateway.devices[d];
     profile.device_tau_groups.emplace_back(
         StrFormat("%s (%s)", dev.name.c_str(),
                   simgen::DeviceTypeName(dev.reported_type).c_str()),
-        bg->incoming.group);
+        view.background[d]->incoming.group);
   }
   return profile;
 }

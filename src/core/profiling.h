@@ -55,22 +55,6 @@ class PhaseTimings : public obs::SpanSink {
   std::map<std::string, uint64_t> phases_ HOMETS_GUARDED_BY(mu_);
 };
 
-/// \brief RAII phase timer: an obs::ScopedSpan that reports into a
-/// PhaseTimings on destruction — so every timed phase also lands in the
-/// installed TraceSession (if any) under the same name. A null sink with no
-/// session installed makes it a no-op, so call sites stay branch-free.
-class ScopedPhaseTimer {
- public:
-  ScopedPhaseTimer(PhaseTimings* sink, std::string phase)
-      : span_(std::move(phase), sink) {}
-
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  obs::ScopedSpan span_;
-};
-
 /// \brief High-level profile of one gateway — the "high level profiling of
 /// gateways" the paper says dominant-device knowledge enables for ISPs
 /// (Section 6.2). Bundles every per-gateway output of the framework.
@@ -103,9 +87,12 @@ struct ProfilingOptions {
   int64_t aggregation_minutes = 180;
 };
 
-/// \brief Computes the full profile of a gateway over its trace. Requires a
-/// trace with at least two weekly windows of observations.
+/// \brief Computes the full profile of a gateway from its trace and its
+/// derived view (`view` must be DeriveGateway(gateway)). Fails only when the
+/// active aggregate has no observation; with fewer than two weekly windows
+/// the profile is still computed and `weekly_stationary` stays false.
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
+                                      const DerivedGateway& view,
                                       const ProfilingOptions& options = {});
 
 /// \brief Renders the profile as a short human-readable report.

@@ -9,11 +9,10 @@
 #include "common/status.h"
 #include "core/similarity.h"
 #include "correlation/prepared_series.h"
+#include "obs/trace.h"
 #include "ts/time_series.h"
 
 namespace homets::core {
-
-class PhaseTimings;  // core/profiling.h
 
 /// \brief Options for the parallel pairwise similarity engine.
 struct SimilarityEngineOptions {
@@ -26,7 +25,7 @@ struct SimilarityEngineOptions {
   size_t min_parallel_pairs = 256;
   /// Optional sink for per-phase wall times ("similarity_engine.prepare",
   /// "similarity_engine.pairwise"). Not owned; may be nullptr.
-  PhaseTimings* timings = nullptr;
+  obs::SpanSink* timings = nullptr;
   /// Cooperative cancellation for PairwiseChecked, polled at block
   /// granularity. Not owned; may be nullptr.
   CancellationToken* cancel = nullptr;

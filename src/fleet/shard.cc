@@ -25,11 +25,12 @@ constexpr int64_t kDailyAnchorMinutes = 0;
 
 GatewaySummary Summarize(int32_t gateway_id,
                          const simgen::GatewayTrace& trace,
+                         const core::DerivedGateway& view,
                          const core::ProfilingOptions& profiling) {
   GatewaySummary summary;
   summary.gateway_id = gateway_id;
   summary.devices_observed = static_cast<uint32_t>(trace.devices.size());
-  const auto profile = core::ProfileGateway(trace, profiling);
+  const auto profile = core::ProfileGateway(trace, view, profiling);
   if (profile.ok()) {
     summary.eligible = true;
     summary.dominant_count =
@@ -54,9 +55,8 @@ GatewaySummary Summarize(int32_t gateway_id,
   }
   // Daily motifs per gateway: background-free aggregate, 3 h bins, daily
   // windows. A gateway too short to mine simply reports zero motifs.
-  const auto active = core::ActiveAggregate(trace);
   const auto aggregated =
-      ts::Aggregate(active, kDailyGranularityMinutes, kDailyAnchorMinutes,
+      ts::Aggregate(view.active, kDailyGranularityMinutes, kDailyAnchorMinutes,
                     ts::AggKind::kSum);
   if (aggregated.ok()) {
     const auto windows = ts::SliceWindows(*aggregated, ts::kMinutesPerDay,
@@ -180,9 +180,9 @@ Result<ShardResult> ShardRunner::RunShard(const ShardPlan& plan,
     }
     HOMETS_ASSIGN_OR_RETURN(const auto trace,
                             it->second.ReadGateway(ref.gateway_index));
-    result.gateways.push_back(Summarize(g, trace, profiling_));
-    const auto aggregate = trace.AggregateTraffic();
-    for (const double v : aggregate.values()) {
+    const core::DerivedGateway view = core::DeriveGateway(trace);
+    result.gateways.push_back(Summarize(g, trace, view, profiling_));
+    for (const double v : view.aggregate.values()) {
       if (!(v > 0.0) || std::isnan(v)) continue;
       ++result.zipf_bins[ZipfBinIndex(v)];
       ++result.values_binned;

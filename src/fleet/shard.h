@@ -66,7 +66,7 @@ Result<FleetInputs> EnumerateFleetInputs(
 /// computed.
 struct GatewaySummary {
   int32_t gateway_id = 0;  ///< global gateway index in the fleet order
-  bool eligible = false;   ///< ProfileGateway succeeded (>= 2 weekly windows)
+  bool eligible = false;   ///< ProfileGateway ok: active traffic observed
   uint32_t devices_observed = 0;
   uint32_t dominant_count = 0;
   uint32_t min_residents = 0;

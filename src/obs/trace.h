@@ -81,8 +81,8 @@ uint32_t CurrentThreadTraceId();
 /// artifacts (JSON-lines log, Chrome trace) join on `span_id`.
 uint64_t CurrentSpanId();
 
-/// \brief Receives completed span durations; PhaseTimings is the main
-/// implementation, adapting spans onto the legacy per-phase accumulator.
+/// \brief Receives completed span durations, e.g. core::PhaseTimings, which
+/// sums them per span name.
 class SpanSink {
  public:
   virtual ~SpanSink() = default;

@@ -68,6 +68,16 @@ Result<TimeSeries> TimeSeries::Add(const TimeSeries& a, const TimeSeries& b) {
   return TimeSeries(begin, step, std::move(out));
 }
 
+void TimeSeries::Accumulate(TimeSeries part) {
+  if (part.empty()) return;
+  if (empty()) {
+    *this = std::move(part);
+    return;
+  }
+  auto sum = Add(*this, part);
+  if (sum.ok()) *this = std::move(sum).value();
+}
+
 TimeSeries TimeSeries::ClipBelow(double threshold) const {
   TimeSeries out = *this;
   for (double& v : out.values_) {

@@ -109,6 +109,12 @@ class TimeSeries {
   /// both inputs (a device that is absent contributes zero traffic).
   static Result<TimeSeries> Add(const TimeSeries& a, const TimeSeries& b);
 
+  /// Adds `part` into this series: an empty series takes `part` as is; an
+  /// empty part, or one Add() rejects, is left out. Every per-gateway sum
+  /// over devices goes through it in device order, so the sums agree to the
+  /// bit wherever they are taken.
+  void Accumulate(TimeSeries part);
+
   /// Returns a copy with every value below `threshold` replaced by zero;
   /// missing values stay missing. This is the paper's background-traffic
   /// removal primitive (Section 6.1).

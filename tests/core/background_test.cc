@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "core/similarity.h"
@@ -20,6 +21,21 @@ ts::TimeSeries BackgroundWithBursts(double base, double burst, size_t n,
     if (rng.Bernoulli(0.01)) x += burst;
   }
   return ts::TimeSeries(0, 1, std::move(v));
+}
+
+// A lone device's background-free traffic: the active aggregate of a
+// one-device gateway.
+ts::TimeSeries LoneDeviceActive(const simgen::DeviceTrace& dev) {
+  simgen::GatewayTrace gw;
+  gw.devices.push_back(dev);
+  return DeriveGateway(gw).active;
+}
+
+bool BitIdentical(const ts::TimeSeries& a, const ts::TimeSeries& b) {
+  return a.start_minute() == b.start_minute() &&
+         a.step_minutes() == b.step_minutes() && a.size() == b.size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.size() * sizeof(double)) == 0;
 }
 
 TEST(TauGroupTest, PaperBoundaries) {
@@ -94,7 +110,7 @@ TEST(ActiveTrafficTest, RemovesBackgroundKeepsBursts) {
   simgen::DeviceTrace dev;
   dev.incoming = BackgroundWithBursts(300.0, 1e6, 5000, 9);
   dev.outgoing = BackgroundWithBursts(50.0, 1e5, 5000, 10);
-  const auto active = ActiveTraffic(dev).value();
+  const auto active = LoneDeviceActive(dev);
   size_t zeros = 0, bursts = 0, observed = 0;
   for (double v : active.values()) {
     if (ts::TimeSeries::IsMissing(v)) continue;
@@ -111,7 +127,7 @@ TEST(ActiveTrafficTest, ActiveNeverExceedsRaw) {
   simgen::DeviceTrace dev;
   dev.incoming = BackgroundWithBursts(300.0, 1e6, 2000, 11);
   dev.outgoing = BackgroundWithBursts(60.0, 1e5, 2000, 12);
-  const auto active = ActiveTraffic(dev).value();
+  const auto active = LoneDeviceActive(dev);
   const auto raw = dev.TotalTraffic();
   for (size_t i = 0; i < active.size(); ++i) {
     if (ts::TimeSeries::IsMissing(active[i])) continue;
@@ -130,6 +146,48 @@ TEST(ActiveAggregateTest, FleetGatewayProducesActiveSeries) {
   // Active mass is a strict subset of raw mass.
   EXPECT_LT(active.Sum(), gw.AggregateTraffic().Sum());
   EXPECT_GT(active.Sum(), 0.0);
+}
+
+TEST(DeriveGatewayTest, MatchesTheSeparateComputations) {
+  simgen::SimConfig config;
+  config.n_gateways = 3;
+  config.weeks = 2;
+  config.seed = 23;
+  simgen::FleetGenerator gen(config);
+  for (int id = 0; id < config.n_gateways; ++id) {
+    simgen::GatewayTrace gw = gen.Generate(id);
+    // A brief guest with too few observations for τ: included unfiltered.
+    simgen::DeviceTrace guest;
+    guest.incoming = ts::TimeSeries(gw.devices[0].incoming.start_minute(), 1,
+                                    {4e5, 1.0, 2e5});
+    guest.outgoing = ts::TimeSeries(gw.devices[0].incoming.start_minute(), 1,
+                                    {10.0, 20.0, 30.0});
+    gw.devices.push_back(guest);
+    const DerivedGateway view = DeriveGateway(gw);
+    EXPECT_TRUE(BitIdentical(view.aggregate, gw.AggregateTraffic()));
+    ASSERT_EQ(view.background.size(), gw.devices.size());
+    ts::TimeSeries active;
+    size_t observed = 0;
+    for (size_t d = 0; d < gw.devices.size(); ++d) {
+      const auto& dev = gw.devices[d];
+      if (dev.TotalTraffic().CountObserved() > 0) ++observed;
+      const auto bg = EstimateDeviceBackground(dev);
+      ASSERT_EQ(view.background[d].has_value(), bg.ok());
+      ts::TimeSeries part = dev.TotalTraffic();
+      if (bg.ok()) {
+        EXPECT_EQ(view.background[d]->incoming.tau, bg->incoming.tau);
+        EXPECT_EQ(view.background[d]->outgoing.tau, bg->outgoing.tau);
+        part = ts::TimeSeries::Add(dev.incoming.ClipBelow(bg->incoming.tau_back),
+                                   dev.outgoing.ClipBelow(bg->outgoing.tau_back))
+                   .value();
+      }
+      active = active.empty() ? part : ts::TimeSeries::Add(active, part).value();
+    }
+    EXPECT_FALSE(view.background.back().has_value());
+    EXPECT_EQ(view.devices_observed, observed);
+    EXPECT_TRUE(BitIdentical(view.active, active));
+    EXPECT_TRUE(BitIdentical(ActiveAggregate(gw), active));
+  }
 }
 
 TEST(ActiveAggregateTest, RevealsMoreRegularity) {

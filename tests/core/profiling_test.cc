@@ -17,9 +17,14 @@ simgen::GatewayTrace MakeGateway(int id = 0, uint64_t seed = 77) {
   return simgen::FleetGenerator(config).Generate(id);
 }
 
+Result<GatewayProfile> Profile(const simgen::GatewayTrace& gw,
+                               const ProfilingOptions& options = {}) {
+  return ProfileGateway(gw, DeriveGateway(gw), options);
+}
+
 TEST(ProfilingTest, ProducesCompleteProfile) {
   const auto gw = MakeGateway();
-  const auto profile = ProfileGateway(gw).value();
+  const auto profile = Profile(gw).value();
   EXPECT_EQ(profile.gateway_id, gw.id);
   EXPECT_GE(profile.devices_observed, 1u);
   EXPECT_GE(profile.min_residents, 1u);
@@ -32,7 +37,7 @@ TEST(ProfilingTest, ProducesCompleteProfile) {
 
 TEST(ProfilingTest, MinResidentsLowerBoundsDominants) {
   const auto gw = MakeGateway(2, 91);
-  const auto profile = ProfileGateway(gw).value();
+  const auto profile = Profile(gw).value();
   EXPECT_GE(profile.min_residents,
             std::max<size_t>(1, profile.dominant_devices.size()));
 }
@@ -42,7 +47,7 @@ TEST(ProfilingTest, QuietestSlotIsNight) {
   // slot should be in the small hours for most homes.
   size_t night_count = 0, total = 0;
   for (int id = 0; id < 6; ++id) {
-    const auto profile = ProfileGateway(MakeGateway(id, 101)).value();
+    const auto profile = Profile(MakeGateway(id, 101)).value();
     ++total;
     if (profile.quietest_slot <= 2) ++night_count;  // 00:00–09:00
   }
@@ -51,11 +56,11 @@ TEST(ProfilingTest, QuietestSlotIsNight) {
 
 TEST(ProfilingTest, EmptyGatewayErrors) {
   simgen::GatewayTrace empty;
-  EXPECT_FALSE(ProfileGateway(empty).ok());
+  EXPECT_FALSE(Profile(empty).ok());
 }
 
 TEST(ProfilingTest, FormatContainsKeyFacts) {
-  const auto profile = ProfileGateway(MakeGateway()).value();
+  const auto profile = Profile(MakeGateway()).value();
   const std::string report = FormatProfile(profile);
   EXPECT_NE(report.find("gateway 0"), std::string::npos);
   EXPECT_NE(report.find("maintenance window"), std::string::npos);
@@ -69,8 +74,8 @@ TEST(ProfilingTest, DominanceOptionsRespected) {
   const auto gw = MakeGateway(1, 55);
   ProfilingOptions strict;
   strict.dominance.phi = 0.95;
-  const auto strict_profile = ProfileGateway(gw, strict).value();
-  const auto default_profile = ProfileGateway(gw).value();
+  const auto strict_profile = Profile(gw, strict).value();
+  const auto default_profile = Profile(gw).value();
   EXPECT_LE(strict_profile.dominant_devices.size(),
             default_profile.dominant_devices.size());
 }

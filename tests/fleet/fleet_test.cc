@@ -16,9 +16,12 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/background.h"
 #include "fleet/checkpoint.h"
 #include "fleet/orchestrator.h"
 #include "fleet/shard.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "simgen/fleet.h"
 #include "storage/homets_format.h"
 
@@ -43,10 +46,11 @@ std::string MakeTestDir(const std::string& name) {
 
 // A small synthetic fleet on disk as one out-of-core .homets file.
 std::string WriteSmallFleet(const std::string& dir, int gateways = 6,
-                            int weeks = 2) {
+                            int weeks = 2, uint64_t seed = 20140317) {
   simgen::SimConfig config;
   config.n_gateways = gateways;
   config.weeks = weeks;
+  config.seed = seed;
   config.surveyed_gateways = std::min(config.surveyed_gateways, gateways);
   const std::string path = dir + "/fleet.homets";
   simgen::FleetGenerator generator(config);
@@ -367,6 +371,58 @@ TEST(FleetOrchestratorTest, ReportIsIdenticalAcrossShardAndThreadCounts) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+// Pinned text, not another run: a change to the per-gateway derivation that
+// shifted a figure the same way in every run would pass the identity tests
+// above but not this one.
+TEST(FleetOrchestratorTest, ReportFiguresMatchPinnedTextAtFixedSeed) {
+  const std::string dir = MakeTestDir("pinned");
+  const std::string path = WriteSmallFleet(dir, 6, 3, 31);
+  fleet::FleetOptions options;
+  options.n_shards = 2;
+  fleet::FleetOrchestrator orchestrator({path}, options);
+  const auto report = orchestrator.Analyze();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::string formatted = fleet::FormatFleetReport(*report);
+  EXPECT_EQ(formatted.substr(formatted.find('\n') + 1),
+            "gateways analyzed: 6 (6 eligible, 0 ineligible)\n"
+            "zipf rank-frequency: exponent=1.8586 r2=0.6196 ranks=49 over "
+            "119797 values\n"
+            "dominance histogram (eligible): 0:1 1:2 2:3 3+:0\n"
+            "weekly stationary: 1 of 6 eligible\n"
+            "min residents (sum over eligible): 9\n"
+            "quietest 3h slot (mode): 1\n"
+            "mean evening share (eligible): 0.486301\n"
+            "tau groups: small=26 medium=4 large=0\n"
+            "daily motifs: 25 from 105 windows\n"
+            "quarantined shards: none\n");
+  std::remove(path.c_str());
+}
+
+TEST(ShardRunnerTest, EstimatesTauOncePerGateway) {
+  const std::string dir = MakeTestDir("tau_once");
+  const std::string path = WriteSmallFleet(dir, 1, 2);
+  const io::DatasetOptions dataset;
+  const auto inputs = fleet::EnumerateFleetInputs({path}, dataset);
+  ASSERT_TRUE(inputs.ok()) << inputs.status().ToString();
+  auto reader = io::DatasetReader::Open(path, dataset);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const auto trace = reader->ReadGateway(0);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const obs::Counter* const estimated =
+      obs::MetricsRegistry::Global().GetCounter(
+          obs::kBackgroundThresholdsEstimated);
+  uint64_t before = estimated->Value();
+  (void)core::ActiveAggregate(*trace);
+  const uint64_t one_pass = estimated->Value() - before;
+  ASSERT_GT(one_pass, 0u);
+
+  const fleet::ShardRunner runner(&*inputs, dataset);
+  before = estimated->Value();
+  ASSERT_TRUE(runner.RunShard(ShardPlan{0, 0, 1}, nullptr).ok());
+  EXPECT_EQ(estimated->Value() - before, one_pass);
   std::remove(path.c_str());
 }
 

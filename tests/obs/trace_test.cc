@@ -152,13 +152,13 @@ TEST(TraceSessionTest, ConcurrentAddsAllArrive) {
 }
 
 TEST(PhaseTimingsTest, AdapterAccumulatesAndFeedsTrace) {
-  // The ScopedPhaseTimer path must hit both destinations: the PhaseTimings
-  // sink and the installed trace session, under the same phase name.
+  // A span with a PhaseTimings sink must hit both destinations: the sink and
+  // the installed trace session, under the same phase name.
   TraceSession session;
   core::PhaseTimings timings;
   {
     SessionGuard guard(&session);
-    core::ScopedPhaseTimer timer(&timings, "engine.prepare");
+    ScopedSpan span("engine.prepare", &timings);
   }
   EXPECT_EQ(timings.phases().size(), 1u);
   ASSERT_EQ(session.size(), 1u);

@@ -69,7 +69,7 @@ int main() {
   homets::core::PhaseTimings timings;
   {
     homets::obs::InstallGlobalTraceSession(&session);
-    homets::core::ScopedPhaseTimer timer(&timings, "smoke.phase");
+    homets::obs::ScopedSpan span("smoke.phase", &timings);
   }
   homets::obs::InstallGlobalTraceSession(nullptr);
   if (session.size() != 1 || timings.TotalNs("smoke.phase") == 0) {

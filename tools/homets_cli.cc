@@ -374,7 +374,7 @@ int RunProfile(const ParsedArgs& args,
   obs::ScopedSpan span("cli.profile");
   obs::RunManifestBuilder::StageTimer stage(g_manifest, "profile");
   stage.set_units(1);
-  const auto profile = core::ProfileGateway(*gw);
+  const auto profile = core::ProfileGateway(*gw, core::DeriveGateway(*gw));
   if (!profile.ok()) {
     return FailWith("profiling failed", profile.status());
   }
