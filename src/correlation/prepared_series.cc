@@ -42,12 +42,15 @@ double PearsonPValue(double r, size_t n) {
 
 // Merge-sort inversion counter used by Knight's algorithm: sorts `y` in
 // place and returns the number of exchanges (discordant pairs).
-uint64_t CountSwaps(std::vector<double>* y, std::vector<double>* buffer) {
+uint64_t CountSwaps(std::vector<uint32_t>* y, std::vector<uint32_t>* buffer) {
   const size_t n = y->size();
   uint64_t swaps = 0;
   for (size_t width = 1; width < n; width *= 2) {
     for (size_t lo = 0; lo + width < n; lo += 2 * width) {
       const size_t mid = lo + width;
+      // Runs already in order merge to themselves with no exchange; the
+      // x-tie groups arrive sorted, so whole stretches are skipped.
+      if (!((*y)[mid] < (*y)[mid - 1])) continue;
       const size_t hi = std::min(lo + 2 * width, n);
       size_t i = lo, j = mid, k = lo;
       while (i < mid && j < hi) {
@@ -66,10 +69,13 @@ uint64_t CountSwaps(std::vector<double>* y, std::vector<double>* buffer) {
   return swaps;
 }
 
-TieSums TieSumsFromGroups(const std::vector<size_t>& groups) {
+// Tie sums over the groups of size >= 2, in ascending value order.
+TieSums TieSumsFromOffsets(const std::vector<uint32_t>& offsets) {
   TieSums s;
-  for (size_t g : groups) {
-    const double t = static_cast<double>(g);
+  for (size_t g = 0; g + 1 < offsets.size(); ++g) {
+    const uint32_t size = offsets[g + 1] - offsets[g];
+    if (size < 2) continue;
+    const double t = static_cast<double>(size);
     s.pairs += t * (t - 1.0) / 2.0;
     s.triple += t * (t - 1.0) * (t - 2.0);
     s.weighted += t * (t - 1.0) * (2.0 * t + 5.0);
@@ -145,11 +151,13 @@ Result<CorrelationTest> SpearmanGathered(const std::vector<double>& xc,
   return test;
 }
 
-// Kendall's τ-b given the y values permuted into x-sorted order (with y
-// ascending within x-tie groups), the joint-tie pair count, and both sides'
-// tie sums. `ys` is consumed (sorted in place by the inversion count).
-Result<CorrelationTest> KendallFromProfiles(std::vector<double>* ys,
-                                            std::vector<double>* buffer,
+// Kendall's τ-b given y's dense ranks (the index of each value's tie group
+// in ascending order, so ranks compare exactly as the values do) permuted
+// into x-sorted order with y ascending within x-tie groups, the joint-tie
+// pair count, and both sides' tie sums. `ys` is consumed (sorted in place
+// by the inversion count).
+Result<CorrelationTest> KendallFromProfiles(std::vector<uint32_t>* ys,
+                                            std::vector<uint32_t>* buffer,
                                             double joint_pairs,
                                             const TieSums& tx,
                                             const TieSums& ty) {
@@ -205,8 +213,16 @@ Result<CorrelationTest> KendallGathered(const std::vector<double>& xc,
     if (xc[a] != xc[b]) return xc[a] < xc[b];
     return yc[a] < yc[b];
   });
+  const std::vector<uint32_t> y_order = stats::StableOrder(yc);
+  const std::vector<uint32_t> y_groups = stats::TieGroupOffsets(yc, y_order);
+  std::vector<uint32_t> y_rank(n);
+  for (uint32_t r = 0; r + 1 < y_groups.size(); ++r) {
+    for (uint32_t p = y_groups[r]; p < y_groups[r + 1]; ++p) {
+      y_rank[y_order[p]] = r;
+    }
+  }
   ws->ys.resize(n);
-  for (size_t i = 0; i < n; ++i) ws->ys[i] = yc[order[i]];
+  for (size_t i = 0; i < n; ++i) ws->ys[i] = y_rank[order[i]];
 
   // Joint ties: consecutive equal (x, y) pairs in the sorted order.
   double joint_pairs = 0.0;
@@ -224,9 +240,10 @@ Result<CorrelationTest> KendallGathered(const std::vector<double>& xc,
     }
   }
 
-  const TieSums tx = TieSumsFromGroups(stats::TieGroupSizes(xc));
-  const TieSums ty = TieSumsFromGroups(stats::TieGroupSizes(yc));
-  return KendallFromProfiles(&ws->ys, &ws->buffer, joint_pairs, tx, ty);
+  const TieSums tx =
+      TieSumsFromOffsets(stats::TieGroupOffsets(xc, stats::StableOrder(xc)));
+  return KendallFromProfiles(&ws->ys, &ws->buffer, joint_pairs, tx,
+                             TieSumsFromOffsets(y_groups));
 }
 
 }  // namespace
@@ -252,32 +269,24 @@ PreparedSeries PreparedSeries::Make(std::vector<double> values,
     return p;
   }
   p.profiles_ = profiles;
-  const size_t n = p.values_.size();
 
   if (profiles & kMomentProfile) {
     MomentsOf(p.values_, &p.mean_, &p.centered_ss_);
     p.constant_ = p.centered_ss_ <= 0.0;
   }
-  if (profiles & kRankProfile) {
-    p.ranks_ = stats::AverageRanks(p.values_);
-    MomentsOf(p.ranks_, &p.rank_mean_, &p.rank_centered_ss_);
-  }
-  if (profiles & kSortProfile) {
-    p.sort_order_.resize(n);
-    std::iota(p.sort_order_.begin(), p.sort_order_.end(), 0u);
-    std::stable_sort(p.sort_order_.begin(), p.sort_order_.end(),
-                     [&v = p.values_](uint32_t a, uint32_t b) {
-                       return v[a] < v[b];
-                     });
-    p.group_offsets_.clear();
-    p.group_offsets_.push_back(0);
-    for (uint32_t i = 1; i < n; ++i) {
-      if (p.values_[p.sort_order_[i]] != p.values_[p.sort_order_[i - 1]]) {
-        p.group_offsets_.push_back(i);
-      }
+  if (profiles & (kRankProfile | kSortProfile)) {
+    // One stable permutation feeds both profiles.
+    std::vector<uint32_t> order = stats::StableOrder(p.values_);
+    std::vector<uint32_t> offsets = stats::TieGroupOffsets(p.values_, order);
+    if (profiles & kRankProfile) {
+      p.ranks_ = stats::AverageRanks(order, offsets);
+      MomentsOf(p.ranks_, &p.rank_mean_, &p.rank_centered_ss_);
     }
-    p.group_offsets_.push_back(static_cast<uint32_t>(n));
-    p.tie_sums_ = TieSumsFromGroups(stats::TieGroupSizes(p.values_));
+    if (profiles & kSortProfile) {
+      p.tie_sums_ = TieSumsFromOffsets(offsets);
+      p.sort_order_ = std::move(order);
+      p.group_offsets_ = std::move(offsets);
+    }
   }
   return p;
 }
@@ -327,17 +336,26 @@ Result<CorrelationTest> Kendall(const PreparedSeries& x,
   }
 
   const size_t n = x.size();
-  const std::vector<uint32_t>& order = x.sort_order();
-  const std::vector<double>& yv = y.values();
-
-  // Partner values in x-sorted order; sorting each x-tie group ascending
-  // reproduces the (x, y) lexicographic order of the vector path.
-  ws->ys.resize(n);
-  for (size_t i = 0; i < n; ++i) ws->ys[i] = yv[order[i]];
   const std::vector<uint32_t>& groups = x.group_offsets();
-  for (size_t g = 0; g + 1 < groups.size(); ++g) {
-    if (groups[g + 1] - groups[g] > 1) {
-      std::sort(ws->ys.begin() + groups[g], ws->ys.begin() + groups[g + 1]);
+
+  // y's dense ranks in x-sorted order, ascending within each x-tie group:
+  // the (x, y) lexicographic order of the vector path. Walking y's sort
+  // order and scattering each rank to the next free slot of its x group
+  // fills every group already ascending.
+  ws->group_of.resize(n);
+  ws->cursor.assign(groups.begin(), groups.end() - 1);
+  const std::vector<uint32_t>& x_order = x.sort_order();
+  for (uint32_t g = 0; g + 1 < groups.size(); ++g) {
+    for (uint32_t i = groups[g]; i < groups[g + 1]; ++i) {
+      ws->group_of[x_order[i]] = g;
+    }
+  }
+  ws->ys.resize(n);
+  const std::vector<uint32_t>& y_order = y.sort_order();
+  const std::vector<uint32_t>& y_groups = y.group_offsets();
+  for (uint32_t r = 0; r + 1 < y_groups.size(); ++r) {
+    for (uint32_t p = y_groups[r]; p < y_groups[r + 1]; ++p) {
+      ws->ys[ws->cursor[ws->group_of[y_order[p]]]++] = r;
     }
   }
 

@@ -30,7 +30,7 @@ struct TieSums {
   double pair_raw = 0.0;  ///< Σ t(t−1)
 };
 
-/// \brief One-time O(n log n) profile of a window, reusable across every
+/// \brief One-time profile of a window, reusable across every
 /// pairwise comparison the window participates in.
 ///
 /// Every pairwise workload in the paper (stationarity pairs, granularity
@@ -47,7 +47,8 @@ class PreparedSeries {
  public:
   PreparedSeries() = default;
 
-  /// Profiles `values` (one O(n log n) pass per requested profile).
+  /// Profiles `values`. The rank and sort profiles share one stable
+  /// permutation (stats::StableOrder), sorted once.
   static PreparedSeries Make(std::vector<double> values,
                              uint32_t profiles = kAllProfiles);
 
@@ -104,8 +105,10 @@ class PreparedSeries {
 /// `nullptr` is passed; parallel callers keep one workspace per worker so
 /// the hot loop never touches the allocator.
 struct PairWorkspace {
-  std::vector<double> ys;      ///< partner values in sort order (Kendall)
-  std::vector<double> buffer;  ///< merge buffer for inversion counting
+  std::vector<uint32_t> ys;      ///< partner's dense ranks in x order (Kendall)
+  std::vector<uint32_t> buffer;  ///< merge buffer for inversion counting
+  std::vector<uint32_t> group_of;  ///< x-tie group of each index (Kendall)
+  std::vector<uint32_t> cursor;    ///< next free slot per x-tie group
   std::vector<double> xc, yc;  ///< gather space for the NaN fallback path
 };
 
@@ -121,9 +124,10 @@ Result<CorrelationTest> Spearman(const PreparedSeries& x,
                                  const PreparedSeries& y,
                                  PairWorkspace* workspace = nullptr);
 
-/// \brief Kendall's τ-b over two prepared series; the per-pair work is the
-/// O(n log n) inversion count only — the sort permutation and all tie sums
-/// come from the profiles. Bit-identical to Kendall(x, y).
+/// \brief Kendall's τ-b over two prepared series; the per-pair work is an
+/// O(n) scatter of y's sort order into x's tie groups plus the O(n log n)
+/// inversion count — both permutations and all tie sums come from the
+/// profiles. Bit-identical to Kendall(x, y).
 Result<CorrelationTest> Kendall(const PreparedSeries& x,
                                 const PreparedSeries& y,
                                 PairWorkspace* workspace = nullptr);

@@ -1,8 +1,9 @@
 #include "stats/boxplot.h"
 
-#include <algorithm>
+#include <cstdint>
 
 #include "stats/descriptive.h"
+#include "stats/ranks.h"
 
 namespace homets::stats {
 
@@ -11,11 +12,16 @@ Result<Boxplot> ComputeBoxplot(std::vector<double> xs, double whisker_factor) {
   if (whisker_factor < 0.0) {
     return Status::InvalidArgument("ComputeBoxplot: negative whisker factor");
   }
-  std::sort(xs.begin(), xs.end());
+  {
+    const std::vector<uint32_t> order = StableOrder(xs);
+    std::vector<double> sorted(xs.size());
+    for (size_t i = 0; i < order.size(); ++i) sorted[i] = xs[order[i]];
+    xs.swap(sorted);
+  }
   Boxplot box;
-  HOMETS_ASSIGN_OR_RETURN(box.q1, Quantile(xs, 0.25));
-  HOMETS_ASSIGN_OR_RETURN(box.median, Quantile(xs, 0.5));
-  HOMETS_ASSIGN_OR_RETURN(box.q3, Quantile(xs, 0.75));
+  box.q1 = SortedQuantile(xs, 0.25);
+  box.median = SortedQuantile(xs, 0.5);
+  box.q3 = SortedQuantile(xs, 0.75);
   box.iqr = box.q3 - box.q1;
   const double lo_fence = box.q1 - whisker_factor * box.iqr;
   const double hi_fence = box.q3 + whisker_factor * box.iqr;

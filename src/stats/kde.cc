@@ -14,9 +14,11 @@ Result<KernelDensity> KernelDensity::Fit(std::vector<double> sample,
   }
   if (bandwidth <= 0.0) {
     HOMETS_ASSIGN_OR_RETURN(const double sd, StdDev(sample));
-    HOMETS_ASSIGN_OR_RETURN(const double q1, Quantile(sample, 0.25));
-    HOMETS_ASSIGN_OR_RETURN(const double q3, Quantile(sample, 0.75));
-    const double iqr = q3 - q1;
+    // Sorted copy: the density keeps the sample in its given order.
+    std::vector<double> sorted = sample;
+    std::sort(sorted.begin(), sorted.end());
+    const double iqr =
+        SortedQuantile(sorted, 0.75) - SortedQuantile(sorted, 0.25);
     double spread = sd;
     if (iqr > 0.0) spread = std::min(spread, iqr / 1.34);
     if (spread <= 0.0) spread = std::max(std::fabs(sample[0]), 1.0) * 1e-3;

@@ -2,7 +2,9 @@
 # One-command CI gate: configure, build, then run the lint, lint-arch,
 # threads, chaos, chaos-fleet, storage, telemetry and bench-smoke ctest
 # tiers — the exact sequence a pre-merge check should run — plus a direct
-# linter pass over the tree with per-pass timing. The telemetry tier includes the run-manifest
+# linter pass over the tree with per-pass timing, a ThreadSanitizer pass over
+# the profiler suite and an ASan/UBSan pass over the stats and correlation
+# suites. The telemetry tier includes the run-manifest
 # schema check (cli_telemetry), so a manifest field drift fails the gate.
 # Smoke-tested by the `run_all_gates_smoke` ctest via --dry-run, which prints
 # the commands without executing them.
@@ -68,6 +70,19 @@ tsan_build="$root/build-gates-tsan"
 run cmake -S "$root" -B "$tsan_build" -DHOMETS_SANITIZE=thread
 run cmake --build "$tsan_build" -j "$jobs" --target prof_test
 run ctest --test-dir "$tsan_build" --output-on-failure -L prof
+
+# Sorting and correlation kernels under ASan/UBSan: the stable radix order
+# bit-casts doubles into keys and the Kendall kernel scatters through index
+# arrays, so the stats and correlation suites get an address/undefined pass
+# with libstdc++ bounds assertions on; UBSan stops at its first report.
+asan_build="$root/build-gates-asan"
+run cmake -S "$root" -B "$asan_build" "-DHOMETS_SANITIZE=address;undefined" \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
+run cmake --build "$asan_build" -j "$jobs" --target stats_test correlation_test
+for suite in stats_test correlation_test; do
+    run env UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        "$asan_build/tests/$suite"
+done
 
 if [ "$dry_run" -eq 1 ]; then
     echo "DRY RUN: no commands executed"
