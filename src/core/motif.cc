@@ -27,9 +27,8 @@ class SimilarityCache {
     options_.alpha = alpha;
   }
 
+  /// cor(i, j) for i < j, the only order MotifSet asks for.
   double Get(size_t i, size_t j) {
-    if (i == j) return 1.0;
-    if (i > j) std::swap(i, j);
     const uint64_t key = (static_cast<uint64_t>(i) << 32) | j;
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
@@ -58,6 +57,96 @@ class SimilarityCache {
 };
 
 }  // namespace
+
+size_t MotifSet::Place(size_t w, const Similarity& cor) {
+  const double group_threshold = options_.group_factor * options_.phi;
+  Entry* best = nullptr;
+  double best_score = -2.0;
+  for (Entry& motif : motifs_) {
+    bool individual = false;
+    bool group = true;
+    double sum = 0.0;
+    for (size_t member : motif.members) {
+      const double value = cor(member, w);
+      if (value >= options_.phi) individual = true;
+      if (value < group_threshold) {
+        group = false;
+        break;
+      }
+      sum += value;
+    }
+    if (!individual || !group) continue;
+    const double score = sum / static_cast<double>(motif.members.size());
+    if (score > best_score) {
+      best_score = score;
+      best = &motif;
+    }
+  }
+  if (best != nullptr) {
+    best->members.push_back(w);
+    return best->id;
+  }
+  motifs_.push_back({next_id_, {w}});
+  return next_id_++;
+}
+
+size_t MotifSet::Merge(const Similarity& cor) {
+  auto all_cross_pairs_high = [&](const Entry& x, const Entry& y) {
+    for (size_t i : x.members) {
+      for (size_t j : y.members) {
+        if (cor(std::min(i, j), std::max(i, j)) < options_.merge_threshold) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  size_t merges = 0;
+  bool merged = true;
+  while (merged) {
+    merged = false;
+    for (size_t a = 0; a < motifs_.size() && !merged; ++a) {
+      for (size_t b = a + 1; b < motifs_.size() && !merged; ++b) {
+        if (!all_cross_pairs_high(motifs_[a], motifs_[b])) continue;
+        // motifs_ is in id order, so `a` holds the older id and keeps it.
+        std::vector<size_t>& into = motifs_[a].members;
+        const auto mid = into.insert(into.end(), motifs_[b].members.begin(),
+                                     motifs_[b].members.end());
+        std::inplace_merge(into.begin(), mid, into.end());
+        motifs_.erase(motifs_.begin() + static_cast<long>(b));
+        merged = true;
+        ++merges;
+      }
+    }
+  }
+  return merges;
+}
+
+void MotifSet::Remove(size_t w) {
+  for (auto it = motifs_.begin(); it != motifs_.end(); ++it) {
+    std::vector<size_t>& members = it->members;
+    const auto pos = std::lower_bound(members.begin(), members.end(), w);
+    if (pos == members.end() || *pos != w) continue;
+    members.erase(pos);
+    if (members.empty()) motifs_.erase(it);
+    return;
+  }
+}
+
+std::vector<Motif> MotifSet::Reported() const {
+  std::vector<Motif> reported;
+  for (const Entry& motif : motifs_) {
+    if (motif.members.size() >= options_.min_support) {
+      reported.push_back(Motif{motif.members});
+    }
+  }
+  std::sort(reported.begin(), reported.end(),
+            [](const Motif& x, const Motif& y) {
+              if (x.support() != y.support()) return x.support() > y.support();
+              return x.members.front() < y.members.front();
+            });
+  return reported;
+}
 
 Result<std::vector<Motif>> MotifDiscovery::Discover(
     const std::vector<ts::TimeSeries>& windows) const {
@@ -92,87 +181,16 @@ Result<std::vector<Motif>> MotifDiscovery::Discover(
   if (progress != nullptr) progress->AddTotal(windows.size());
 
   SimilarityCache cache(windows, options_.alpha);
-  const double group_threshold = options_.group_factor * options_.phi;
-
-  // Greedy agglomeration: each window joins the best admissible motif.
-  std::vector<Motif> motifs;
+  const MotifSet::Similarity cor = [&cache](size_t i, size_t j) {
+    return cache.Get(i, j);
+  };
+  MotifSet motifs(options_);
   for (size_t w = 0; w < windows.size(); ++w) {
     if (progress != nullptr) progress->Tick();
-    int best_motif = -1;
-    double best_score = -2.0;
-    for (size_t m = 0; m < motifs.size(); ++m) {
-      bool individual = false;
-      bool group = true;
-      double sum = 0.0;
-      for (size_t member : motifs[m].members) {
-        const double cor = cache.Get(w, member);
-        if (cor >= options_.phi) individual = true;
-        if (cor < group_threshold) {
-          group = false;
-          break;
-        }
-        sum += cor;
-      }
-      if (!individual || !group) continue;
-      const double score =
-          sum / static_cast<double>(motifs[m].members.size());
-      if (score > best_score) {
-        best_score = score;
-        best_motif = static_cast<int>(m);
-      }
-    }
-    if (best_motif >= 0) {
-      motifs[static_cast<size_t>(best_motif)].members.push_back(w);
-    } else {
-      Motif fresh;
-      fresh.members.push_back(w);
-      motifs.push_back(std::move(fresh));
-    }
+    motifs.Place(w, cor);
   }
-
-  // Merge phase: combine motifs when all cross pairs correlate at or above
-  // the merge threshold; iterate to a fixed point.
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    for (size_t a = 0; a < motifs.size() && !merged; ++a) {
-      for (size_t b = a + 1; b < motifs.size() && !merged; ++b) {
-        bool all_high = true;
-        for (size_t ma : motifs[a].members) {
-          for (size_t mb : motifs[b].members) {
-            if (cache.Get(ma, mb) < options_.merge_threshold) {
-              all_high = false;
-              break;
-            }
-          }
-          if (!all_high) break;
-        }
-        if (all_high) {
-          motifs[a].members.insert(motifs[a].members.end(),
-                                   motifs[b].members.begin(),
-                                   motifs[b].members.end());
-          motifs.erase(motifs.begin() + static_cast<long>(b));
-          merged = true;
-          motifs_merged->Increment();
-        }
-      }
-    }
-  }
-
-  std::vector<Motif> reported;
-  for (auto& motif : motifs) {
-    if (motif.support() >= options_.min_support) {
-      std::sort(motif.members.begin(), motif.members.end());
-      reported.push_back(std::move(motif));
-    }
-  }
-  // Descending support; equal-support motifs tie-break on the earliest
-  // member index so the reported order is a pure function of the input.
-  std::sort(reported.begin(), reported.end(),
-            [](const Motif& x, const Motif& y) {
-              if (x.support() != y.support()) return x.support() > y.support();
-              return x.members.front() < y.members.front();
-            });
+  motifs_merged->Increment(motifs.Merge(cor));
+  std::vector<Motif> reported = motifs.Reported();
   motifs_reported->Increment(reported.size());
   cache_hits->Increment(cache.hits());
   cache_misses->Increment(cache.misses());

@@ -2,6 +2,7 @@
 #define HOMETS_CORE_MOTIF_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -40,12 +41,58 @@ struct MotifOptions {
   size_t min_support = 2;
 };
 
+/// \brief Definition 5's membership and merge rule: the one implementation
+/// that batch discovery and the streaming miner share.
+///
+/// Windows are named by indices that grow with arrival. Each motif keeps its
+/// members in ascending order under a stable id. The caller supplies the
+/// similarity as `cor(older, newer)`; it is only ever called with
+/// older < newer, so each caller keeps its own similarity source (a cache
+/// over all windows, or the retained profiles of a stream).
+class MotifSet {
+ public:
+  using Similarity = std::function<double(size_t older, size_t newer)>;
+
+  explicit MotifSet(const MotifOptions& options) : options_(options) {}
+
+  /// Places window `w`, which must be newer than every member. It joins the
+  /// motif with the highest mean similarity among those where it reaches
+  /// cor >= φ with one member and cor >= group_factor · φ with every member;
+  /// else it seeds a new motif. Returns the id of the motif it joined or
+  /// seeded.
+  size_t Place(size_t w, const Similarity& cor);
+
+  /// Merges two motifs when all their cross pairs reach merge_threshold,
+  /// always taking the lexicographically first such pair of motifs (in id
+  /// order), until no pair qualifies. The merged motif keeps the older id.
+  /// Returns the number of merges.
+  size_t Merge(const Similarity& cor);
+
+  /// Removes window `w` from its motif, if any; a motif left empty is
+  /// dropped.
+  void Remove(size_t w);
+
+  /// Motifs with support >= min_support, by descending support; equal
+  /// supports are ordered by their earliest member, so the order is a pure
+  /// function of the input.
+  std::vector<Motif> Reported() const;
+
+ private:
+  struct Entry {
+    size_t id = 0;
+    std::vector<size_t> members;  ///< ascending
+  };
+
+  MotifOptions options_;
+  std::vector<Entry> motifs_;  ///< in ascending id order
+  size_t next_id_ = 0;
+};
+
 /// \brief Motif miner over fixed-length, time-aligned windows.
 ///
-/// The discovery is a greedy agglomeration (single pass in window order,
-/// each window joining the best motif that satisfies both Definition 5
-/// conditions, else seeding a new one) followed by the paper's merge rule.
-/// Results are sorted by descending support.
+/// A single greedy pass in window order (MotifSet::Place for every window)
+/// followed by one run of the paper's merge rule (MotifSet::Merge). Results
+/// are sorted by descending support.
 class MotifDiscovery {
  public:
   explicit MotifDiscovery(MotifOptions options = {}) : options_(options) {}

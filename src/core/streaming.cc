@@ -1,7 +1,5 @@
 #include "core/streaming.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 #include "core/similarity.h"
 #include "obs/metric_names.h"
@@ -104,168 +102,41 @@ std::vector<std::pair<int, ts::TimeSeries>> WindowAssembler::Flush() {
 StreamingMotifMiner::StreamingMotifMiner(MotifOptions options,
                                          size_t horizon_windows)
     : options_(options),
-      horizon_windows_(horizon_windows == 0 ? 1 : horizon_windows) {}
-
-double StreamingMotifMiner::Similarity(
-    const correlation::PreparedSeries& a,
-    const correlation::PreparedSeries& b) const {
-  SimilarityOptions sim;
-  sim.alpha = options_.alpha;
-  return CorrelationSimilarity(a, b, sim, &workspace_).value;
-}
+      horizon_windows_(horizon_windows == 0 ? 1 : horizon_windows),
+      motifs_(options) {}
 
 Result<size_t> StreamingMotifMiner::AddWindow(int gateway_id,
                                               const ts::TimeSeries& window) {
-  if (!retained_.empty() &&
-      retained_.front().window.size() != window.size()) {
+  if (!retained_.empty() && retained_.front().size() != window.size()) {
     return Status::InvalidArgument(
         "StreamingMotifMiner: window length mismatch");
   }
-  const size_t index = next_index_++;
-  provenance_.push_back({gateway_id, window.start_minute()});
-  // Profile the window once on arrival; every comparison it participates in
-  // across its retained lifetime reuses the prepared form.
-  retained_.push_back(
-      {index, window, correlation::PreparedSeries::Make(window.values())});
-  const correlation::PreparedSeries& arrived = retained_.back().prepared;
-
-  auto window_by_index =
-      [this](size_t idx) -> const correlation::PreparedSeries* {
-    // retained_ is ordered by arrival index.
-    if (retained_.empty()) return nullptr;
-    const size_t first = retained_.front().index;
-    if (idx < first || idx > retained_.back().index) return nullptr;
-    return &retained_[idx - first].prepared;
-  };
-
-  // Greedy Definition 5 assignment against retained members.
-  const double group_threshold = options_.group_factor * options_.phi;
-  int best_motif = -1;
-  double best_score = -2.0;
-  for (size_t m = 0; m < motifs_.size(); ++m) {
-    bool individual = false;
-    bool group = true;
-    double sum = 0.0;
-    size_t counted = 0;
-    for (size_t member : motifs_[m].members) {
-      const correlation::PreparedSeries* other = window_by_index(member);
-      if (other == nullptr) continue;
-      const double cor = Similarity(arrived, *other);
-      if (cor >= options_.phi) individual = true;
-      if (cor < group_threshold) {
-        group = false;
-        break;
-      }
-      sum += cor;
-      ++counted;
-    }
-    if (!individual || !group || counted == 0) continue;
-    const double score = sum / static_cast<double>(counted);
-    if (score > best_score) {
-      best_score = score;
-      best_motif = static_cast<int>(m);
-    }
-  }
-  size_t joined_id;
-  if (best_motif >= 0) {
-    motifs_[static_cast<size_t>(best_motif)].members.push_back(index);
-    joined_id = motifs_[static_cast<size_t>(best_motif)].id;
-  } else {
-    MotifState fresh;
-    fresh.id = next_motif_id_++;
-    fresh.members.push_back(index);
-    motifs_.push_back(std::move(fresh));
-    joined_id = motifs_.back().id;
-  }
-  TryMerge();
-  Evict();
-  return joined_id;
-}
-
-void StreamingMotifMiner::TryMerge() {
-  auto window_by_index =
-      [this](size_t idx) -> const correlation::PreparedSeries* {
-    if (retained_.empty()) return nullptr;
-    const size_t first = retained_.front().index;
-    if (idx < first || idx > retained_.back().index) return nullptr;
-    return &retained_[idx - first].prepared;
-  };
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    for (size_t a = 0; a < motifs_.size() && !merged; ++a) {
-      for (size_t b = a + 1; b < motifs_.size() && !merged; ++b) {
-        bool all_high = true;
-        for (size_t ma : motifs_[a].members) {
-          const correlation::PreparedSeries* wa = window_by_index(ma);
-          if (wa == nullptr) continue;
-          for (size_t mb : motifs_[b].members) {
-            const correlation::PreparedSeries* wb = window_by_index(mb);
-            if (wb == nullptr) continue;
-            if (Similarity(*wa, *wb) < options_.merge_threshold) {
-              all_high = false;
-              break;
-            }
-          }
-          if (!all_high) break;
-        }
-        if (all_high) {
-          static obs::Counter* const merges =
-              obs::MetricsRegistry::Global().GetCounter(
-                  obs::kStreamingMotifsMerged);
-          merges->Increment();
-          // Keep the older id: stable identities across the stream.
-          if (motifs_[b].id < motifs_[a].id) {
-            std::swap(motifs_[a].id, motifs_[b].id);
-          }
-          motifs_[a].members.insert(motifs_[a].members.end(),
-                                    motifs_[b].members.begin(),
-                                    motifs_[b].members.end());
-          std::sort(motifs_[a].members.begin(), motifs_[a].members.end());
-          motifs_.erase(motifs_.begin() + static_cast<long>(b));
-          merged = true;
-        }
-      }
-    }
-  }
-}
-
-void StreamingMotifMiner::Evict() {
+  static obs::Counter* const merges =
+      obs::MetricsRegistry::Global().GetCounter(obs::kStreamingMotifsMerged);
   static obs::Counter* const evictions =
       obs::MetricsRegistry::Global().GetCounter(
           obs::kStreamingWindowsEvicted);
+  const size_t index = next_index_++;
+  provenance_.push_back({gateway_id, window.start_minute()});
+  // Profile the window once on arrival; every comparison it takes part in
+  // over its retained lifetime reuses the profile.
+  retained_.push_back(correlation::PreparedSeries::Make(window.values()));
+  const size_t first = index + 1 - retained_.size();  // oldest retained
+  SimilarityOptions sim;
+  sim.alpha = options_.alpha;
+  const MotifSet::Similarity cor = [&](size_t older, size_t newer) {
+    return CorrelationSimilarity(retained_[older - first],
+                                 retained_[newer - first], sim, &workspace_)
+        .value;
+  };
+  const size_t joined_id = motifs_.Place(index, cor);
+  merges->Increment(motifs_.Merge(cor));
   while (retained_.size() > horizon_windows_) {
-    const size_t evicted = retained_.front().index;
+    motifs_.Remove(next_index_ - retained_.size());
     retained_.pop_front();
     evictions->Increment();
-    for (auto& motif : motifs_) {
-      motif.members.erase(
-          std::remove(motif.members.begin(), motif.members.end(), evicted),
-          motif.members.end());
-    }
   }
-  motifs_.erase(std::remove_if(motifs_.begin(), motifs_.end(),
-                               [](const MotifState& m) {
-                                 return m.members.empty();
-                               }),
-                motifs_.end());
-}
-
-std::vector<Motif> StreamingMotifMiner::CurrentMotifs() const {
-  std::vector<Motif> out;
-  for (const auto& state : motifs_) {
-    if (state.members.size() < options_.min_support) continue;
-    Motif motif;
-    motif.members = state.members;
-    out.push_back(std::move(motif));
-  }
-  // Same deterministic order as MotifDiscovery::Discover: descending
-  // support, ties broken by the earliest member index.
-  std::sort(out.begin(), out.end(), [](const Motif& a, const Motif& b) {
-    if (a.support() != b.support()) return a.support() > b.support();
-    return a.members.front() < b.members.front();
-  });
-  return out;
+  return joined_id;
 }
 
 }  // namespace homets::core

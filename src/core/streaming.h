@@ -63,11 +63,17 @@ class WindowAssembler {
 
 /// \brief Incremental motif maintenance over a stream of completed windows.
 ///
-/// Applies Definition 5's membership rules online: each arriving window
-/// joins the best motif satisfying the individual- and group-similarity
-/// conditions, else seeds a new candidate; the paper's merge rule runs
-/// opportunistically. Windows older than `horizon_windows` arrivals are
-/// evicted, so memory is bounded for infinite streams.
+/// Applies Definition 5 online through the same MotifSet as batch
+/// discovery. Each arriving window is placed (MotifSet::Place), then the
+/// merge rule runs to its fixed point (MotifSet::Merge), then windows older
+/// than `horizon_windows` arrivals are evicted (MotifSet::Remove). Batch
+/// discovery merges once after placing every window instead, so the two can
+/// group the same windows differently: an early merge changes what a later
+/// window joins.
+///
+/// The horizon bounds the retained windows, their similarity profiles and
+/// the motif members. provenance() is not bounded: it keeps one 16-byte
+/// entry per window seen, because callers index it by arrival index.
 class StreamingMotifMiner {
  public:
   StreamingMotifMiner(MotifOptions options, size_t horizon_windows);
@@ -79,10 +85,9 @@ class StreamingMotifMiner {
   /// Motifs with support >= options.min_support among the retained horizon,
   /// sorted by descending support. Provenance indices refer to AddWindow
   /// arrival order.
-  std::vector<Motif> CurrentMotifs() const;
+  std::vector<Motif> CurrentMotifs() const { return motifs_.Reported(); }
 
-  /// Provenance of a retained window by arrival index (empty optional if
-  /// evicted).
+  /// Provenance of every window seen, evicted or not, by arrival index.
   const std::vector<WindowProvenance>& provenance() const {
     return provenance_;
   }
@@ -91,31 +96,15 @@ class StreamingMotifMiner {
   size_t windows_retained() const { return retained_.size(); }
 
  private:
-  struct StoredWindow {
-    size_t index;  ///< arrival index
-    ts::TimeSeries window;
-    /// One-time similarity profile of `window`; every comparison this window
-    /// participates in over its retained lifetime reuses it.
-    correlation::PreparedSeries prepared;
-  };
-  struct MotifState {
-    size_t id;
-    std::vector<size_t> members;  ///< arrival indices, retained only
-  };
-
-  double Similarity(const correlation::PreparedSeries& a,
-                    const correlation::PreparedSeries& b) const;
-  void Evict();
-  void TryMerge();
-
   MotifOptions options_;
   size_t horizon_windows_;
   size_t next_index_ = 0;
-  size_t next_motif_id_ = 0;
-  std::deque<StoredWindow> retained_;
-  std::vector<MotifState> motifs_;
+  /// One-time similarity profiles of the retained windows, oldest first:
+  /// arrival index i sits at i - (next_index_ - retained_.size()).
+  std::deque<correlation::PreparedSeries> retained_;
+  MotifSet motifs_;
   std::vector<WindowProvenance> provenance_;  ///< by arrival index
-  mutable correlation::PairWorkspace workspace_;  ///< per-pair scratch
+  correlation::PairWorkspace workspace_;  ///< per-pair scratch
 };
 
 }  // namespace homets::core

@@ -7,7 +7,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/background.h"
 #include "correlation/prepared_series.h"
+#include "simgen/fleet.h"
+#include "ts/time_series.h"
 
 namespace homets::core {
 namespace {
@@ -162,6 +165,51 @@ TEST(CorrelationSimilarityTest, PreparedOverloadMatchesVectorOverloadBitwise) {
   EXPECT_EQ(prepared.source, legacy.source);
   EXPECT_EQ(prepared.significant, legacy.significant);
   EXPECT_EQ(prepared.n, legacy.n);
+}
+
+TEST(CorrelationSimilarityTest, PreparedOverloadIsSymmetricBitwise) {
+  // Motif mining evaluates every pair as cor(older, newer), whichever order
+  // the caller met it in, so both argument orders must agree bit for bit.
+  // Daily 3 h windows of a small fleet, plus the degenerate windows the
+  // fast path hands to its fallbacks.
+  simgen::SimConfig config;
+  config.n_gateways = 3;
+  config.weeks = 1;
+  config.seed = 31;
+  simgen::FleetGenerator gen(config);
+  std::vector<correlation::PreparedSeries> windows;
+  for (int id = 0; id < config.n_gateways; ++id) {
+    const auto aggregated = ts::Aggregate(ActiveAggregate(gen.Generate(id)),
+                                          180, 0, ts::AggKind::kSum);
+    ASSERT_TRUE(aggregated.ok());
+    for (const auto& window :
+         ts::SliceWindows(*aggregated, ts::kMinutesPerDay, 0)) {
+      windows.push_back(correlation::PreparedSeries::Make(window.values()));
+    }
+  }
+  ASSERT_GE(windows.size(), 12u);
+  const double nan = ts::TimeSeries::Missing();
+  windows.push_back(correlation::PreparedSeries::Make(std::vector<double>(8)));
+  windows.push_back(
+      correlation::PreparedSeries::Make(std::vector<double>(8, 5.0)));
+  windows.push_back(
+      correlation::PreparedSeries::Make({1, nan, 3, 9, nan, 2, 7, 4}));
+  windows.push_back(
+      correlation::PreparedSeries::Make({2, 4, nan, 8, 6, nan, 1, 5}));
+  correlation::PairWorkspace workspace;
+  size_t similar = 0;
+  for (size_t i = 0; i < windows.size(); ++i) {
+    for (size_t j = i + 1; j < windows.size(); ++j) {
+      const double ij =
+          CorrelationSimilarity(windows[i], windows[j], {}, &workspace).value;
+      const double ji =
+          CorrelationSimilarity(windows[j], windows[i], {}, &workspace).value;
+      EXPECT_EQ(std::memcmp(&ij, &ji, sizeof(double)), 0)
+          << "pair " << i << ", " << j << ": " << ij << " vs " << ji;
+      if (ij >= 0.6) ++similar;
+    }
+  }
+  EXPECT_GT(similar, 0u);  // the fleet windows do reach motif thresholds
 }
 
 TEST(CorrelationDistanceTest, ComplementOfSimilarity) {

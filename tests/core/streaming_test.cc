@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "core/motif.h"
+#include "core/similarity.h"
 
 namespace homets::core {
 namespace {
@@ -135,7 +136,108 @@ TEST(StreamingMotifMinerTest, MatchesBatchDiscoveryOnSameWindows) {
   ASSERT_EQ(streamed.size(), batch.size());
   for (size_t m = 0; m < streamed.size(); ++m) {
     EXPECT_EQ(streamed[m].support(), batch[m].support());
+    EXPECT_EQ(streamed[m].members, batch[m].members);
   }
+}
+
+// A daily cosine at `phase_deg` plus light noise: two such windows
+// correlate at about the cosine of their phase difference, so the phases
+// fix which of Definition 5's thresholds (φ = 0.8, group and merge 0.6) a
+// pair reaches.
+ts::TimeSeries PhaseWindow(double phase_deg, int64_t day, Rng* rng) {
+  std::vector<double> v(24);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = 200.0 +
+           150.0 * std::cos(2.0 * M_PI * static_cast<double>(i) / 24.0 -
+                            phase_deg * M_PI / 180.0) +
+           3.0 * rng->Normal();
+  }
+  return ts::TimeSeries(day * ts::kMinutesPerDay, 60, std::move(v));
+}
+
+double Cor(const ts::TimeSeries& a, const ts::TimeSeries& b) {
+  return CorrelationSimilarity(a.values(), b.values()).value;
+}
+
+TEST(StreamingMotifMinerTest, MergingAfterEveryArrivalCanDifferFromBatch) {
+  // The stream merges after every arrival; batch discovery first places
+  // every window and merges once at the end. So an early merge can change
+  // which motif a later window joins. Here A–B reaches the merge threshold
+  // but not φ, B–C reaches φ, and A–C misses the group threshold. The
+  // stream merges {A} and {B} when B arrives, and C then fails the group
+  // test against A and stays alone. In batch, A and B are still apart when
+  // C arrives, so C joins B, and the final merge of {A} with {B, C} fails
+  // on A–C. The same timing difference is why ext_streaming_motifs reports
+  // different motif counts for batch and stream over the same windows.
+  Rng rng(8);
+  const std::vector<ts::TimeSeries> windows = {PhaseWindow(0, 0, &rng),
+                                               PhaseWindow(40, 1, &rng),
+                                               PhaseWindow(70, 2, &rng)};
+  const double ab = Cor(windows[0], windows[1]);
+  ASSERT_GE(ab, 0.6);
+  ASSERT_LT(ab, 0.8);
+  ASSERT_GE(Cor(windows[1], windows[2]), 0.8);
+  ASSERT_LT(Cor(windows[0], windows[2]), 0.6);
+
+  StreamingMotifMiner miner(MotifOptions{}, 1000);
+  std::vector<size_t> ids;
+  for (const auto& window : windows) ids.push_back(*miner.AddWindow(0, window));
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 1, 2}));
+  const auto streamed = miner.CurrentMotifs();
+  ASSERT_EQ(streamed.size(), 1u);
+  EXPECT_EQ(streamed[0].members, (std::vector<size_t>{0, 1}));
+
+  const auto batch = MotifDiscovery().Discover(windows).value();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].members, (std::vector<size_t>{1, 2}));
+}
+
+TEST(StreamingMotifMinerTest, EvictionAfterMergeKeepsTheOlderId) {
+  // Families A (0°) and B (40°) merge; C (120°) stays apart. B's window
+  // seeds motif 2, which merges into A's motif 0 at once; eviction then
+  // trims the merged motif and finally drops it when its last member
+  // leaves the horizon.
+  Rng rng(9);
+  StreamingMotifMiner miner(MotifOptions{}, 5);
+  const double phases[] = {0, 0, 120, 120, 40, 0, 120, 120, 120, 120, 120};
+  std::vector<size_t> ids;
+  for (int i = 0; i < 11; ++i) {
+    ids.push_back(*miner.AddWindow(0, PhaseWindow(phases[i], i, &rng)));
+    if (i == 6) {
+      // Retained: windows 2..6.
+      EXPECT_EQ(miner.windows_retained(), 5u);
+      const auto motifs = miner.CurrentMotifs();
+      ASSERT_EQ(motifs.size(), 2u);
+      EXPECT_EQ(motifs[0].members, (std::vector<size_t>{2, 3, 6}));
+      EXPECT_EQ(motifs[1].members, (std::vector<size_t>{4, 5}));
+    }
+  }
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 0, 1, 1, 2, 0, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(miner.windows_retained(), 5u);
+  EXPECT_EQ(miner.windows_seen(), 11u);
+  const auto motifs = miner.CurrentMotifs();
+  ASSERT_EQ(motifs.size(), 1u);
+  EXPECT_EQ(motifs[0].members, (std::vector<size_t>{6, 7, 8, 9, 10}));
+}
+
+TEST(StreamingMotifMinerTest, EvictionUnblocksAMerge) {
+  // D (−30°) and A (0°) form motif 0; B (40°) merges with A but not with D,
+  // so motif 1 = {B} stays apart while D is retained. Once D is evicted the
+  // next arrival's merge pass joins {A} and {B} under the older id 0, and a
+  // later B window joins motif 0. E (160°) is unrelated filler.
+  Rng rng(10);
+  StreamingMotifMiner miner(MotifOptions{}, 4);
+  const double phases[] = {-30, 0, 40, 160, 160, 160, 40, 40};
+  std::vector<size_t> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(*miner.AddWindow(0, PhaseWindow(phases[i], i, &rng)));
+  }
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 0, 1, 2, 2, 2, 0, 0}));
+  EXPECT_EQ(miner.windows_retained(), 4u);
+  const auto motifs = miner.CurrentMotifs();
+  ASSERT_EQ(motifs.size(), 2u);
+  EXPECT_EQ(motifs[0].members, (std::vector<size_t>{4, 5}));
+  EXPECT_EQ(motifs[1].members, (std::vector<size_t>{6, 7}));
 }
 
 TEST(StreamingMotifMinerTest, EvictionBoundsMemory) {
