@@ -36,7 +36,7 @@ void Run() {
   // result feeds the clustering matrix directly.
   const core::SimilarityEngine engine;
   const core::SimilarityMatrix sims =
-      engine.Pairwise(core::SimilarityEngine::PrepareWindows(series));
+      engine.Pairwise(core::SimilarityEngine::PrepareWindows(series)).value();
   auto dist = cluster::DistanceMatrix::FromCondensed(
                   series.size(), sims.CondensedDistances())
                   .value();

@@ -358,7 +358,7 @@ void RunSize(const SizeSpec& spec, int threads_used,
   });
 
   bench.Stage("pairwise", "pairs", [&] {
-    const core::SimilarityMatrix matrix = engine.Pairwise(prepared);
+    const core::SimilarityMatrix matrix = engine.Pairwise(prepared).value();
     return matrix.pair_count();
   });
 

@@ -14,10 +14,10 @@ namespace homets {
 /// \brief Cooperative cancellation flag shared between a requester and the
 /// workers it wants to stop.
 ///
-/// Workers poll `cancelled()` at block boundaries (see ParallelForStatus and
-/// SimilarityEngine::PairwiseChecked); the requester calls `Cancel()` from
-/// any thread. The flag is sticky until `Reset()`. All operations are
-/// lock-free atomics, so polling on the hot path is cheap.
+/// Workers poll `cancelled()` at block boundaries (see ParallelForStatus);
+/// the requester calls `Cancel()` from any thread. The flag is sticky until
+/// `Reset()`. All operations are lock-free atomics, so polling on the hot
+/// path is cheap.
 ///
 /// Tokens can be linked into a tree: a child constructed with a parent
 /// observes the parent's cancellation (cancelling a fleet run cancels every

@@ -7,15 +7,6 @@
 
 namespace homets::core {
 
-std::string PhaseTimings::Report() const {
-  std::string out;
-  for (const auto& [phase, ns] : phases()) {
-    out += StrFormat("%s: %.3f ms\n", phase.c_str(),
-                     static_cast<double>(ns) / 1e6);
-  }
-  return out;
-}
-
 Result<GatewayProfile> ProfileGateway(const simgen::GatewayTrace& gateway,
                                       const DerivedGateway& view,
                                       const ProfilingOptions& options) {

@@ -2,58 +2,16 @@
 #define HOMETS_CORE_PROFILING_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/background.h"
 #include "core/dominance.h"
 #include "core/stationarity.h"
-#include "obs/trace.h"
 #include "simgen/types.h"
 
 namespace homets::core {
-
-/// \brief Wall-clock accumulator for named computation phases.
-///
-/// A thin obs::SpanSink adapter: every span whose timer is pointed at a
-/// PhaseTimings folds its duration into the per-phase totals, so benches and
-/// ops tooling can attribute time. Recording is thread-safe (a mutex per
-/// accumulator — phases are coarse, so contention is nil), which lets
-/// SimilarityEngine phases record from worker threads.
-class PhaseTimings : public obs::SpanSink {
- public:
-  void Record(const std::string& phase, uint64_t ns) HOMETS_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    phases_[phase] += ns;
-  }
-
-  void OnSpan(const std::string& name, uint64_t duration_ns) override {
-    Record(name, duration_ns);
-  }
-
-  /// Accumulated nanoseconds for `phase` (0 when never recorded).
-  uint64_t TotalNs(const std::string& phase) const HOMETS_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    const auto it = phases_.find(phase);
-    return it == phases_.end() ? 0 : it->second;
-  }
-
-  std::map<std::string, uint64_t> phases() const HOMETS_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return phases_;
-  }
-
-  /// One "phase: 1.234 ms" line per phase, sorted by phase name.
-  std::string Report() const;
-
- private:
-  mutable Mutex mu_;
-  std::map<std::string, uint64_t> phases_ HOMETS_GUARDED_BY(mu_);
-};
 
 /// \brief High-level profile of one gateway — the "high level profiling of
 /// gateways" the paper says dominant-device knowledge enables for ISPs

@@ -1,6 +1,5 @@
 #include "core/similarity_engine.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "common/failpoint.h"
@@ -63,157 +62,92 @@ std::vector<correlation::PreparedSeries> SimilarityEngine::PrepareVectors(
   return prepared;
 }
 
-std::vector<correlation::PreparedSeries> SimilarityEngine::Prepare(
-    const std::vector<ts::TimeSeries>& windows) const {
-  obs::ScopedSpan span("similarity_engine.prepare", options_.timings);
-  return PrepareWindows(windows);
-}
-
 namespace {
 
 // ~64 pairs per dispatch block: coarse enough to amortize the atomic
 // hand-off, fine enough to balance tie-heavy vs degenerate pairs.
 constexpr size_t kPairsPerBlock = 64;
 
-// Per-worker busy nanoseconds, owned by the worker during the loop (no
-// synchronization needed: workers never share a slot) and folded into the
-// utilization histogram afterwards.
-class WorkerUtilization {
- public:
-  explicit WorkerUtilization(size_t workers) : busy_ns_(workers, 0) {}
+// Workloads below this many pairs run on one worker — thread spawn would
+// cost more than the work.
+constexpr size_t kMinParallelPairs = 256;
 
-  template <typename Fn>
-  void Timed(int worker, const Fn& fn) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    busy_ns_[static_cast<size_t>(worker)] +=
-        static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-  }
-
-  void Publish(size_t pairs) const {
-    auto& registry = obs::MetricsRegistry::Global();
-    static obs::Counter* const pairs_computed =
-        registry.GetCounter(obs::kEnginePairsComputed);
-    static obs::Gauge* const workers_gauge =
-        registry.GetGauge(obs::kEngineWorkers);
-    static obs::Histogram* const worker_busy_us =
-        registry.GetHistogram(obs::kEngineWorkerBusyUs);
-    pairs_computed->Increment(pairs);
-    workers_gauge->Set(static_cast<int64_t>(busy_ns_.size()));
-    for (const uint64_t ns : busy_ns_) {
-      if (ns > 0) worker_busy_us->Observe(static_cast<double>(ns) / 1e3);
-    }
-  }
-
- private:
-  std::vector<uint64_t> busy_ns_;
-};
-
-}  // namespace
-
-SimilarityMatrix SimilarityEngine::Pairwise(
-    const std::vector<correlation::PreparedSeries>& prepared) const {
-  const size_t n = prepared.size();
-  SimilarityMatrix matrix(n);
-  const size_t pairs = matrix.pair_count();
-  if (pairs == 0) return matrix;
-  obs::ScopedSpan span("similarity_engine.pairwise", options_.timings);
-  const int threads =
-      pairs < options_.min_parallel_pairs ? 1 : options_.threads;
-  const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
-  std::vector<correlation::PairWorkspace> workspaces(workers);
-  WorkerUtilization utilization(workers);
+// The engine's one per-pair block loop: output slot k of `out` receives
+// Definition 1 of the pair `walk` names for it — `walk(begin, end, visit)`
+// calls visit(k, i, j) for every k in [begin, end). With `matrix` set (the
+// full matrix, whose cells are `out`) blocks run through ParallelForStatus,
+// so options.cancel and the failpoints apply; without it they run through
+// ParallelFor, where nothing is injected and nothing can fail.
+template <typename Walk>
+Status ComputePairs(const SimilarityEngineOptions& options,
+                    const std::vector<correlation::PreparedSeries>& prepared,
+                    size_t count, const Walk& walk, SimilarityResult* out,
+                    SimilarityMatrix* matrix) {
+  if (count == 0) return Status::OK();
+  static obs::Counter* const pairs_computed =
+      obs::MetricsRegistry::Global().GetCounter(obs::kEnginePairsComputed);
+  obs::ScopedSpan span("similarity_engine.pairwise");
+  const int threads = count < kMinParallelPairs ? 1 : options.threads;
+  std::vector<correlation::PairWorkspace> workspaces(
+      static_cast<size_t>(ResolveThreadCount(threads)));
   // One stage lookup up front; per-block ticks are then two relaxed adds
   // (nullptr when no tracker is installed — every run without --progress).
   obs::ProgressTracker::Stage* progress =
       obs::ProgressStage("engine.pairwise");
-  if (progress != nullptr) progress->AddTotal(pairs);
-  SimilarityResult* cells = matrix.mutable_cells();
-  ParallelFor(pairs, threads, kPairsPerBlock,
-              [&](size_t begin, size_t end, int worker) {
-                utilization.Timed(worker, [&] {
-                  correlation::PairWorkspace& ws =
-                      workspaces[static_cast<size_t>(worker)];
-                  auto [i, j] = SimilarityMatrix::PairAt(n, begin);
-                  for (size_t k = begin; k < end; ++k) {
-                    cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
-                                                     options_.similarity, &ws);
-                    if (++j == n) {
-                      ++i;
-                      j = i + 1;
-                    }
-                  }
-                });
-                if (progress != nullptr) progress->Tick(end - begin);
-              });
-  utilization.Publish(pairs);
-  return matrix;
+  if (progress != nullptr) progress->AddTotal(count);
+  const auto compute = [&](size_t begin, size_t end, int worker) {
+    correlation::PairWorkspace& ws = workspaces[static_cast<size_t>(worker)];
+    walk(begin, end, [&](size_t k, size_t i, size_t j) {
+      out[k] = CorrelationSimilarity(prepared[i], prepared[j],
+                                     options.similarity, &ws);
+    });
+    if (progress != nullptr) progress->Tick(end - begin);
+  };
+  Status status = Status::OK();
+  if (matrix == nullptr) {
+    ParallelFor(count, threads, kPairsPerBlock, compute);
+  } else {
+    status = ParallelForStatus(
+        count, threads, kPairsPerBlock, options.cancel,
+        [&](size_t begin, size_t end, int worker) -> Status {
+          if (EvaluateFailpoint(kFailpointEnginePairBlock) ==
+              FailpointAction::kFail) {
+            if (!options.degrade_on_failure) {
+              return Status::ComputeError(
+                  "injected by failpoint 'engine.pair_block'");
+            }
+            for (size_t k = begin; k < end; ++k) matrix->MarkInvalid(k);
+            return Status::OK();
+          }
+          compute(begin, end, worker);
+          return Status::OK();
+        });
+  }
+  pairs_computed->Increment(count);
+  return status;
 }
 
-Result<SimilarityMatrix> SimilarityEngine::PairwiseChecked(
+}  // namespace
+
+Result<SimilarityMatrix> SimilarityEngine::Pairwise(
     const std::vector<correlation::PreparedSeries>& prepared) const {
   const size_t n = prepared.size();
   SimilarityMatrix matrix(n);
-  const size_t pairs = matrix.pair_count();
-  if (pairs == 0) return matrix;
-  obs::ScopedSpan span("similarity_engine.pairwise", options_.timings);
-  const int threads =
-      pairs < options_.min_parallel_pairs ? 1 : options_.threads;
-  const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
-  std::vector<correlation::PairWorkspace> workspaces(workers);
-  WorkerUtilization utilization(workers);
   // The mask must exist before workers can mark blocks concurrently.
   if (options_.degrade_on_failure) matrix.EnsureValidityMask();
-  obs::ProgressTracker::Stage* progress =
-      obs::ProgressStage("engine.pairwise");
-  if (progress != nullptr) progress->AddTotal(pairs);
-  SimilarityResult* cells = matrix.mutable_cells();
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline_expired = [&] {
-    if (options_.deadline_ms <= 0.0) return false;
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return elapsed_ms > options_.deadline_ms;
+  // Cells are row-major (i, j), i < j: one PairAt per block, then a walk.
+  const auto walk = [n](size_t begin, size_t end, const auto& visit) {
+    auto [i, j] = SimilarityMatrix::PairAt(n, begin);
+    for (size_t k = begin; k < end; ++k) {
+      visit(k, i, j);
+      if (++j == n) {
+        ++i;
+        j = i + 1;
+      }
+    }
   };
-  const Status status = ParallelForStatus(
-      pairs, threads, kPairsPerBlock, options_.cancel,
-      [&](size_t begin, size_t end, int worker) -> Status {
-        if (deadline_expired()) {
-          return Status::DeadlineExceeded(
-              "similarity engine exceeded its deadline");
-        }
-        const FailpointAction injected =
-            EvaluateFailpoint(kFailpointEnginePairBlock);
-        if (injected == FailpointAction::kFail) {
-          if (!options_.degrade_on_failure) {
-            return Status::ComputeError(
-                "injected by failpoint 'engine.pair_block'");
-          }
-          for (size_t k = begin; k < end; ++k) matrix.MarkInvalid(k);
-          return Status::OK();
-        }
-        utilization.Timed(worker, [&] {
-          correlation::PairWorkspace& ws =
-              workspaces[static_cast<size_t>(worker)];
-          auto [i, j] = SimilarityMatrix::PairAt(n, begin);
-          for (size_t k = begin; k < end; ++k) {
-            cells[k] = CorrelationSimilarity(prepared[i], prepared[j],
-                                             options_.similarity, &ws);
-            if (++j == n) {
-              ++i;
-              j = i + 1;
-            }
-          }
-        });
-        if (progress != nullptr) progress->Tick(end - begin);
-        return Status::OK();
-      });
-  utilization.Publish(pairs);
-  HOMETS_RETURN_IF_ERROR(status);
+  HOMETS_RETURN_IF_ERROR(ComputePairs(options_, prepared, matrix.pair_count(),
+                                      walk, matrix.mutable_cells(), &matrix));
   return matrix;
 }
 
@@ -221,30 +155,14 @@ std::vector<SimilarityResult> SimilarityEngine::PairwiseSelected(
     const std::vector<correlation::PreparedSeries>& prepared,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs) const {
   std::vector<SimilarityResult> results(pairs.size());
-  if (pairs.empty()) return results;
-  obs::ScopedSpan span("similarity_engine.pairwise", options_.timings);
-  const int threads =
-      pairs.size() < options_.min_parallel_pairs ? 1 : options_.threads;
-  const size_t workers = static_cast<size_t>(ResolveThreadCount(threads));
-  std::vector<correlation::PairWorkspace> workspaces(workers);
-  WorkerUtilization utilization(workers);
-  obs::ProgressTracker::Stage* progress =
-      obs::ProgressStage("engine.pairwise");
-  if (progress != nullptr) progress->AddTotal(pairs.size());
-  ParallelFor(pairs.size(), threads, kPairsPerBlock,
-              [&](size_t begin, size_t end, int worker) {
-                utilization.Timed(worker, [&] {
-                  correlation::PairWorkspace& ws =
-                      workspaces[static_cast<size_t>(worker)];
-                  for (size_t k = begin; k < end; ++k) {
-                    results[k] = CorrelationSimilarity(
-                        prepared[pairs[k].first], prepared[pairs[k].second],
-                        options_.similarity, &ws);
-                  }
-                });
-                if (progress != nullptr) progress->Tick(end - begin);
-              });
-  utilization.Publish(pairs.size());
+  const auto walk = [&pairs](size_t begin, size_t end, const auto& visit) {
+    for (size_t k = begin; k < end; ++k) {
+      visit(k, pairs[k].first, pairs[k].second);
+    }
+  };
+  // Without a matrix the loop runs no fault path, so it cannot fail.
+  static_cast<void>(ComputePairs(options_, prepared, pairs.size(), walk,
+                                 results.data(), nullptr));
   return results;
 }
 

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "core/similarity.h"
 #include "correlation/prepared_series.h"
-#include "obs/trace.h"
 #include "ts/time_series.h"
 
 namespace homets::core {
@@ -20,20 +19,11 @@ struct SimilarityEngineOptions {
   /// Worker threads: 0 means hardware concurrency. Output is deterministic
   /// (bit-identical) for every thread count.
   int threads = 0;
-  /// Workloads below this many pairs run inline — thread spawn would cost
-  /// more than the work.
-  size_t min_parallel_pairs = 256;
-  /// Optional sink for per-phase wall times ("similarity_engine.prepare",
-  /// "similarity_engine.pairwise"). Not owned; may be nullptr.
-  obs::SpanSink* timings = nullptr;
-  /// Cooperative cancellation for PairwiseChecked, polled at block
-  /// granularity. Not owned; may be nullptr.
+  /// Cooperative cancellation for Pairwise, polled at block granularity
+  /// (a DeadlineWatchdog turns it into a wall-clock budget). Not owned; may
+  /// be nullptr.
   CancellationToken* cancel = nullptr;
-  /// Wall-clock budget for one PairwiseChecked call in milliseconds;
-  /// 0 disables the deadline. Checked at block granularity, so a call stops
-  /// within one block of the deadline and returns kDeadlineExceeded.
-  double deadline_ms = 0.0;
-  /// PairwiseChecked under an injected task failure (`engine.pair_block`
+  /// Pairwise under an injected task failure (`engine.pair_block`
   /// failpoint): false returns the failing block's error; true marks the
   /// block's cells invalid in the matrix validity mask and keeps going, so
   /// downstream stages degrade over partial results instead of aborting.
@@ -71,7 +61,7 @@ class SimilarityMatrix {
   const std::vector<SimilarityResult>& cells() const { return cells_; }
 
   /// \name Validity mask
-  /// PairwiseChecked marks cells whose task failed (degrade mode) invalid;
+  /// Pairwise marks cells whose task failed (degrade mode) invalid;
   /// a default-constructed matrix has every cell valid and allocates no
   /// mask. Downstream consumers must skip invalid cells rather than read
   /// their (zero-initialized) results.
@@ -133,27 +123,20 @@ class SimilarityEngine {
   static std::vector<correlation::PreparedSeries> PrepareVectors(
       const std::vector<std::vector<double>>& series);
 
-  /// PrepareWindows with the prepare phase recorded into options().timings.
-  std::vector<correlation::PreparedSeries> Prepare(
-      const std::vector<ts::TimeSeries>& windows) const;
-
-  /// Full condensed pairwise matrix over the prepared windows.
-  SimilarityMatrix Pairwise(
-      const std::vector<correlation::PreparedSeries>& prepared) const;
-
-  /// Hardened Pairwise: honors options().cancel and options().deadline_ms at
-  /// block granularity and survives injected task failures (the
-  /// `engine.pair_block` failpoint). Returns kCancelled / kDeadlineExceeded
-  /// when stopped early; under a task failure, returns the deterministic
+  /// Full condensed pairwise matrix over the prepared windows. Honors
+  /// options().cancel at block granularity and survives injected task
+  /// failures (the `engine.pair_block` failpoint): returns kCancelled when
+  /// stopped early; under a task failure, returns the deterministic
   /// lowest-block error, or — with options().degrade_on_failure — an OK
   /// matrix whose failed cells are flagged in the validity mask. With no
-  /// cancellation, deadline, or fault in play the result is bit-identical
-  /// to Pairwise() for every thread count.
-  Result<SimilarityMatrix> PairwiseChecked(
+  /// cancellation or fault in play the matrix is complete and bit-identical
+  /// for every thread count and either failure mode.
+  Result<SimilarityMatrix> Pairwise(
       const std::vector<correlation::PreparedSeries>& prepared) const;
 
   /// Definition 1 for an explicit pair list (e.g. the same-weekday pairs of
-  /// the daily granularity search); results are in pair-list order.
+  /// the daily granularity search); results are in pair-list order. No
+  /// failpoint or cancellation applies, so every pair is computed.
   std::vector<SimilarityResult> PairwiseSelected(
       const std::vector<correlation::PreparedSeries>& prepared,
       const std::vector<std::pair<uint32_t, uint32_t>>& pairs) const;

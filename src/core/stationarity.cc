@@ -49,7 +49,7 @@ Result<StationarityResult> CheckStrongStationarity(
   const SimilarityEngine engine(engine_options);
   HOMETS_ASSIGN_OR_RETURN(
       const SimilarityMatrix sims,
-      engine.PairwiseChecked(SimilarityEngine::PrepareWindows(windows)));
+      engine.Pairwise(SimilarityEngine::PrepareWindows(windows)));
   for (size_t i = 0; i < windows.size(); ++i) {
     for (size_t j = i + 1; j < windows.size(); ++j) {
       if (!sims.IsValid(i, j)) {

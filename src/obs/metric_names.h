@@ -14,7 +14,7 @@
 // metric surface is readable in one file.
 namespace homets::obs {
 
-// common/thread_pool.h — ParallelFor dispatch.
+// common/thread_pool.h — ParallelFor / ParallelForStatus dispatch.
 inline constexpr std::string_view kThreadPoolLoops =
     "homets.threadpool.parallel_loops";
 inline constexpr std::string_view kThreadPoolTasks =
@@ -27,9 +27,6 @@ inline constexpr std::string_view kThreadPoolTaskLatencyUs =
 // core/similarity_engine — parallel pairwise Definition 1.
 inline constexpr std::string_view kEnginePairsComputed =
     "homets.engine.pairs_computed";
-inline constexpr std::string_view kEngineWorkers = "homets.engine.workers";
-inline constexpr std::string_view kEngineWorkerBusyUs =
-    "homets.engine.worker_busy_us";
 
 // correlation/prepared_series — windows that cannot take the profiled fast
 // path (NaNs or < 3 values) and fall back to pairwise-complete gathering.

@@ -81,8 +81,8 @@ uint32_t CurrentThreadTraceId();
 /// artifacts (JSON-lines log, Chrome trace) join on `span_id`.
 uint64_t CurrentSpanId();
 
-/// \brief Receives completed span durations, e.g. core::PhaseTimings, which
-/// sums them per span name.
+/// \brief Receives completed span durations, so a caller can time its own
+/// spans while no TraceSession is installed.
 class SpanSink {
  public:
   virtual ~SpanSink() = default;

@@ -162,7 +162,7 @@ TEST_F(ChaosTest, EngineDegradesDeterministicallyUnderRandomTaskFailures) {
     EXPECT_TRUE(Failpoints::Global()
                     .Configure("engine.pair_block=fail~0.5", 99)
                     .ok());
-    return core::SimilarityEngine(options).PairwiseChecked(prepared);
+    return core::SimilarityEngine(options).Pairwise(prepared);
   };
   const auto first = run();
   const auto second = run();
@@ -197,7 +197,7 @@ TEST_F(ChaosTest, EngineStrictModeSurfacesInjectedFailure) {
   }
   const auto prepared = core::SimilarityEngine::PrepareVectors(windows);
   ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail*1").ok());
-  const auto checked = core::SimilarityEngine().PairwiseChecked(prepared);
+  const auto checked = core::SimilarityEngine().Pairwise(prepared);
   EXPECT_EQ(checked.status().code(), StatusCode::kComputeError);
   EXPECT_NE(checked.status().message().find("engine.pair_block"),
             std::string::npos);
@@ -218,7 +218,7 @@ TEST_F(ChaosTest, WatchdogCancelsEngineRunCleanly) {
   Result<core::SimilarityMatrix> checked = core::SimilarityMatrix();
   {
     DeadlineWatchdog watchdog(&cancel, 0.01);  // fires almost immediately
-    checked = core::SimilarityEngine(options).PairwiseChecked(prepared);
+    checked = core::SimilarityEngine(options).Pairwise(prepared);
   }
   // 44850 pairs cannot finish inside 10 microseconds; the run must stop at
   // a block boundary with the cancellation status — never a crash, never a

@@ -59,14 +59,13 @@ TEST_F(TelemetryChaosTest, EngineFaultLandsInManifestAsFailure) {
     windows.emplace_back(0, 1, values);
   }
   core::SimilarityEngineOptions options;
-  options.threads = 2;
-  options.min_parallel_pairs = 1;
+  options.threads = 2;  // 276 pairs: above the serial cutoff, so pooled
   const core::SimilarityEngine engine(options);
   Status failed = Status::OK();
   {
     obs::RunManifestBuilder::StageTimer stage(&manifest, "pairwise");
     const auto result =
-        engine.PairwiseChecked(core::SimilarityEngine::PrepareWindows(windows));
+        engine.Pairwise(core::SimilarityEngine::PrepareWindows(windows));
     ASSERT_FALSE(result.ok());
     failed = result.status();
     manifest.MarkFailed("pairwise", failed);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -12,6 +13,9 @@
 #include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "common/status.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
+#include "obs/prof.h"
 
 namespace homets {
 namespace {
@@ -207,6 +211,45 @@ TEST(ParallelForStatusTest, TaskFailpointInjectsComputeError) {
   EXPECT_EQ(st.code(), StatusCode::kComputeError);
   // The injected failure replaces the first block's body; the rest run.
   EXPECT_EQ(blocks_run.load(), 3u);
+}
+
+TEST(ParallelForTest, AccountsBlocksLikeParallelForStatus) {
+  // One worker over 100 items in blocks of 8: both loops hand out, run and
+  // time all 13 blocks, so the pool metrics and the profiler agree.
+  auto& registry = obs::MetricsRegistry::Global();
+  const obs::Counter* tasks = registry.GetCounter(obs::kThreadPoolTasks);
+  const obs::Histogram* latency =
+      registry.GetHistogram(obs::kThreadPoolTaskLatencyUs);
+  struct Accounting {
+    uint64_t tasks = 0;
+    uint64_t timed_blocks = 0;
+    uint64_t prof_blocks = 0;
+  };
+  const auto account = [&](const auto& loop) {
+    obs::ResetProfCounters();
+    const uint64_t tasks_before = tasks->Value();
+    const uint64_t timed_before = latency->Count();
+    loop();
+    return Accounting{tasks->Value() - tasks_before,
+                      latency->Count() - timed_before,
+                      obs::CaptureProfSnapshot().pool_blocks};
+  };
+  obs::EnableProfiler(true);
+  const Accounting plain = account(
+      [] { ParallelFor(100, 1, 8, [](size_t, size_t, int) {}); });
+  const Accounting checked = account([] {
+    ASSERT_TRUE(ParallelForStatus(100, 1, 8, nullptr, [](size_t, size_t, int) {
+                  return Status::OK();
+                }).ok());
+  });
+  obs::EnableProfiler(false);
+  obs::ResetProfCounters();
+  EXPECT_EQ(plain.tasks, 13u);
+  EXPECT_EQ(plain.timed_blocks, 13u);
+  EXPECT_EQ(plain.prof_blocks, 13u);
+  EXPECT_EQ(checked.tasks, plain.tasks);
+  EXPECT_EQ(checked.timed_blocks, plain.timed_blocks);
+  EXPECT_EQ(checked.prof_blocks, plain.prof_blocks);
 }
 
 TEST(CancellationTokenTest, StickyUntilReset) {

@@ -11,8 +11,8 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/profiling.h"
 #include "core/similarity.h"
+#include "obs/trace.h"
 
 namespace homets::core {
 namespace {
@@ -52,7 +52,7 @@ TEST(SimilarityEngineTest, MatchesLegacyVectorPathBitwise) {
   const auto windows = RandomWindows(24, 56, 7);
   const SimilarityEngine engine;
   const SimilarityMatrix matrix =
-      engine.Pairwise(SimilarityEngine::PrepareVectors(windows));
+      engine.Pairwise(SimilarityEngine::PrepareVectors(windows)).value();
   for (size_t i = 0; i < windows.size(); ++i) {
     for (size_t j = i + 1; j < windows.size(); ++j) {
       const SimilarityResult legacy =
@@ -67,14 +67,16 @@ TEST(SimilarityEngineTest, MatchesLegacyVectorPathBitwise) {
 }
 
 TEST(SimilarityEngineTest, DeterministicAcrossThreadCounts) {
-  // 48 windows -> 1128 pairs, above min_parallel_pairs so the pool engages.
+  // 48 windows -> 1128 pairs, above the 256-pair serial cutoff, so the pool
+  // engages.
   const auto windows = RandomWindows(48, 56, 8);
   const auto prepared = SimilarityEngine::PrepareVectors(windows);
   std::vector<SimilarityResult> reference;
   for (const int threads : {1, 4, ResolveThreadCount(0)}) {
     SimilarityEngineOptions options;
     options.threads = threads;
-    const SimilarityMatrix matrix = SimilarityEngine(options).Pairwise(prepared);
+    const SimilarityMatrix matrix =
+        SimilarityEngine(options).Pairwise(prepared).value();
     if (reference.empty()) {
       reference = matrix.cells();
       continue;
@@ -99,7 +101,7 @@ TEST(SimilarityEngineTest, HandlesDegenerateWindows) {
   for (auto& w : RandomWindows(3, 10, 9)) windows.push_back(std::move(w));
   const SimilarityEngine engine;
   const SimilarityMatrix matrix =
-      engine.Pairwise(SimilarityEngine::PrepareVectors(windows));
+      engine.Pairwise(SimilarityEngine::PrepareVectors(windows)).value();
   for (size_t i = 0; i < windows.size(); ++i) {
     for (size_t j = i + 1; j < windows.size(); ++j) {
       const SimilarityResult legacy =
@@ -113,7 +115,7 @@ TEST(SimilarityEngineTest, PairwiseSelectedMatchesFullMatrix) {
   const auto windows = RandomWindows(12, 21, 10);
   const auto prepared = SimilarityEngine::PrepareVectors(windows);
   const SimilarityEngine engine;
-  const SimilarityMatrix full = engine.Pairwise(prepared);
+  const SimilarityMatrix full = engine.Pairwise(prepared).value();
   // An arbitrary subset, out of row-major order.
   const std::vector<std::pair<uint32_t, uint32_t>> pairs = {
       {3, 9}, {0, 1}, {5, 6}, {0, 11}, {2, 7}};
@@ -130,7 +132,7 @@ TEST(SimilarityEngineTest, CondensedDistancesMatchCorrelationDistance) {
   const auto windows = RandomWindows(10, 56, 11);
   const SimilarityEngine engine;
   const SimilarityMatrix matrix =
-      engine.Pairwise(SimilarityEngine::PrepareVectors(windows));
+      engine.Pairwise(SimilarityEngine::PrepareVectors(windows)).value();
   const std::vector<double> distances = matrix.CondensedDistances();
   ASSERT_EQ(distances.size(), matrix.pair_count());
   size_t k = 0;
@@ -144,22 +146,29 @@ TEST(SimilarityEngineTest, CondensedDistancesMatchCorrelationDistance) {
 }
 
 TEST(SimilarityEngineCheckedTest, MatchesPairwiseBitwiseWithNoFaults) {
+  // With no failpoint armed the fault paths must cost nothing: degrade mode
+  // equals strict mode bit for bit, at one worker and at four.
   Failpoints::Global().Reset();
   const auto windows = RandomWindows(48, 56, 12);
   const auto prepared = SimilarityEngine::PrepareVectors(windows);
-  const SimilarityMatrix reference = SimilarityEngine().Pairwise(prepared);
   for (const int threads : {1, 4}) {
-    SimilarityEngineOptions options;
-    options.threads = threads;
-    const Result<SimilarityMatrix> checked =
-        SimilarityEngine(options).PairwiseChecked(prepared);
-    ASSERT_TRUE(checked.ok()) << checked.status().ToString();
-    EXPECT_TRUE(checked->complete());
-    ASSERT_EQ(checked->cells().size(), reference.cells().size());
-    for (size_t k = 0; k < reference.cells().size(); ++k) {
-      EXPECT_TRUE(
-          SameBits(checked->cells()[k].value, reference.cells()[k].value))
+    SimilarityEngineOptions strict_options;
+    strict_options.threads = threads;
+    SimilarityEngineOptions degrade_options = strict_options;
+    degrade_options.degrade_on_failure = true;
+    const Result<SimilarityMatrix> strict =
+        SimilarityEngine(strict_options).Pairwise(prepared);
+    const Result<SimilarityMatrix> degrade =
+        SimilarityEngine(degrade_options).Pairwise(prepared);
+    ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+    ASSERT_TRUE(degrade.ok()) << degrade.status().ToString();
+    EXPECT_TRUE(strict->complete());
+    EXPECT_TRUE(degrade->complete());
+    ASSERT_EQ(degrade->cells().size(), strict->cells().size());
+    for (size_t k = 0; k < strict->cells().size(); ++k) {
+      EXPECT_TRUE(SameBits(degrade->cells()[k].value, strict->cells()[k].value))
           << "pair " << k << " at " << threads << " threads";
+      EXPECT_EQ(degrade->cells()[k].source, strict->cells()[k].source);
     }
   }
 }
@@ -172,29 +181,19 @@ TEST(SimilarityEngineCheckedTest, PreCancelledTokenReturnsCancelled) {
   SimilarityEngineOptions options;
   options.cancel = &cancel;
   const Result<SimilarityMatrix> checked =
-      SimilarityEngine(options).PairwiseChecked(prepared);
+      SimilarityEngine(options).Pairwise(prepared);
   EXPECT_EQ(checked.status().code(), StatusCode::kCancelled);
-}
-
-TEST(SimilarityEngineCheckedTest, ExpiredDeadlineReturnsDeadlineExceeded) {
-  const auto prepared =
-      SimilarityEngine::PrepareVectors(RandomWindows(10, 21, 14));
-  SimilarityEngineOptions options;
-  options.deadline_ms = 1e-9;  // expired before the first block is checked
-  const Result<SimilarityMatrix> checked =
-      SimilarityEngine(options).PairwiseChecked(prepared);
-  EXPECT_EQ(checked.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(SimilarityEngineCheckedTest, InjectedBlockFailureIsAnErrorByDefault) {
   Failpoints::Global().Reset();
   ASSERT_TRUE(Failpoints::Global().Configure("engine.pair_block=fail*1").ok());
-  // 20 windows -> 190 pairs < min_parallel_pairs, so this runs single
-  // threaded and the failing block is deterministically block 0.
+  // 20 windows -> 190 pairs, below the 256-pair serial cutoff, so this runs
+  // single threaded and the failing block is deterministically block 0.
   const auto prepared =
       SimilarityEngine::PrepareVectors(RandomWindows(20, 21, 15));
   const Result<SimilarityMatrix> checked =
-      SimilarityEngine().PairwiseChecked(prepared);
+      SimilarityEngine().Pairwise(prepared);
   Failpoints::Global().Reset();
   EXPECT_EQ(checked.status().code(), StatusCode::kComputeError);
 }
@@ -207,13 +206,14 @@ TEST(SimilarityEngineCheckedTest, DegradeModeMasksFailedBlockAndContinues) {
   SimilarityEngineOptions options;
   options.degrade_on_failure = true;
   const Result<SimilarityMatrix> checked =
-      SimilarityEngine(options).PairwiseChecked(prepared);
+      SimilarityEngine(options).Pairwise(prepared);
   Failpoints::Global().Reset();
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   // Single-threaded (190 pairs), so exactly the first 64-pair block is lost.
   EXPECT_FALSE(checked->complete());
   EXPECT_EQ(checked->invalid_count(), 64u);
-  const SimilarityMatrix reference = SimilarityEngine().Pairwise(prepared);
+  const SimilarityMatrix reference =
+      SimilarityEngine().Pairwise(prepared).value();
   const std::vector<double> distances = checked->CondensedDistances();
   for (size_t k = 0; k < checked->pair_count(); ++k) {
     if (k < 64) {
@@ -230,26 +230,18 @@ TEST(SimilarityEngineCheckedTest, DegradeModeMasksFailedBlockAndContinues) {
   EXPECT_TRUE(checked->IsValid(i, i));  // diagonal is always valid
 }
 
-TEST(SimilarityEngineTest, RecordsPhaseTimings) {
-  PhaseTimings timings;
-  SimilarityEngineOptions options;
-  options.timings = &timings;
-  const SimilarityEngine engine(options);
-
-  std::vector<ts::TimeSeries> series;
-  for (size_t w = 0; w < 8; ++w) {
-    std::vector<double> values(21);
-    for (size_t i = 0; i < values.size(); ++i) {
-      values[i] = static_cast<double>((w * 7 + i * 3) % 13);
-    }
-    series.emplace_back(0, 180, std::move(values));
-  }
-  const auto prepared = engine.Prepare(series);
-  engine.Pairwise(prepared);
-  EXPECT_GT(timings.TotalNs("similarity_engine.prepare"), 0u);
-  EXPECT_GT(timings.TotalNs("similarity_engine.pairwise"), 0u);
-  EXPECT_NE(timings.Report().find("similarity_engine.pairwise"),
-            std::string::npos);
+TEST(SimilarityEngineTest, RecordsPairwiseSpan) {
+  // The engine keeps no clock of its own: its time reaches the installed
+  // trace session as one span per pairwise run.
+  obs::TraceSession session;
+  obs::InstallGlobalTraceSession(&session);
+  const auto prepared =
+      SimilarityEngine::PrepareVectors(RandomWindows(8, 21, 16));
+  const bool ok = SimilarityEngine().Pairwise(prepared).ok();
+  obs::InstallGlobalTraceSession(nullptr);
+  EXPECT_TRUE(ok);
+  ASSERT_EQ(session.size(), 1u);
+  EXPECT_EQ(session.Events()[0].name, "similarity_engine.pairwise");
 }
 
 }  // namespace

@@ -3,14 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/profiling.h"
 
 namespace homets::obs {
 namespace {
+
+// A test sink that sums span durations per span name.
+class PhaseTotals : public SpanSink {
+ public:
+  void OnSpan(const std::string& name, uint64_t duration_ns) override {
+    totals[name] += duration_ns;
+  }
+  std::map<std::string, uint64_t> totals;
+};
 
 // Install/uninstall around each test body so a crashed expectation can't
 // leave a dangling global session for later tests.
@@ -89,10 +99,9 @@ TEST(ScopedSpanTest, ThreadsGetDistinctDenseIds) {
 
 TEST(ScopedSpanTest, ReportsToSinkWithoutSession) {
   InstallGlobalTraceSession(nullptr);
-  core::PhaseTimings timings;
-  { ScopedSpan span("phase.a", &timings); }
-  EXPECT_GE(timings.TotalNs("phase.a"), 0u);
-  EXPECT_EQ(timings.phases().count("phase.a"), 1u);
+  PhaseTotals sink;
+  { ScopedSpan span("phase.a", &sink); }
+  EXPECT_EQ(sink.totals.count("phase.a"), 1u);
 }
 
 TEST(TraceSessionTest, ChromeJsonIsWellFormed) {
@@ -152,33 +161,18 @@ TEST(TraceSessionTest, ConcurrentAddsAllArrive) {
 }
 
 TEST(PhaseTimingsTest, AdapterAccumulatesAndFeedsTrace) {
-  // A span with a PhaseTimings sink must hit both destinations: the sink and
-  // the installed trace session, under the same phase name.
+  // A span with a sink must hit both destinations: the sink and the
+  // installed trace session, under the same phase name.
   TraceSession session;
-  core::PhaseTimings timings;
+  PhaseTotals sink;
   {
     SessionGuard guard(&session);
-    ScopedSpan span("engine.prepare", &timings);
+    ScopedSpan span("engine.prepare", &sink);
   }
-  EXPECT_EQ(timings.phases().size(), 1u);
+  ASSERT_EQ(sink.totals.size(), 1u);
+  EXPECT_EQ(sink.totals.begin()->first, "engine.prepare");
   ASSERT_EQ(session.size(), 1u);
   EXPECT_EQ(session.Events()[0].name, "engine.prepare");
-  EXPECT_NE(timings.Report().find("engine.prepare"), std::string::npos);
-}
-
-TEST(PhaseTimingsTest, ConcurrentRecordSumsExactly) {
-  core::PhaseTimings timings;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&timings] {
-      for (int i = 0; i < kPerThread; ++i) timings.Record("phase", 3);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(timings.TotalNs("phase"),
-            static_cast<uint64_t>(kThreads) * kPerThread * 3);
 }
 
 }  // namespace

@@ -74,6 +74,7 @@
 #include "common/failpoint.h"
 #include "common/flags.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "core/background.h"
 #include "core/motif.h"
 #include "core/profiling.h"
@@ -661,6 +662,14 @@ int RunAnalyze(const ParsedArgs& args,
   if (options.resume && options.checkpoint_dir.empty()) {
     std::cerr << "analyze: --resume requires --checkpoint-dir\n";
     return 2;
+  }
+  if (g_manifest != nullptr) {
+    // Shards are the pool's blocks, so at most --shards workers run; a
+    // serial `--shards 1` run's efficiency is then measured on one thread.
+    g_manifest->SetThreads(
+        static_cast<int>(std::thread::hardware_concurrency()),
+        std::min(ResolveThreadCount(static_cast<int>(threads)),
+                 static_cast<int>(shards)));
   }
   obs::ScopedSpan span("cli.analyze");
   obs::RunManifestBuilder::StageTimer stage(g_manifest, "analyze");

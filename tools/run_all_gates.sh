@@ -3,12 +3,13 @@
 # threads, chaos, chaos-fleet, storage, telemetry and bench-smoke ctest
 # tiers — the exact sequence a pre-merge check should run — plus a direct
 # linter pass over the tree with per-pass timing, a ThreadSanitizer pass over
-# the profiler suite and an ASan/UBSan pass over the stats and correlation
-# suites and the motif, streaming and similarity tests. The telemetry tier
-# includes the run-manifest schema check (cli_telemetry), so a manifest field
-# drift fails the gate. It ends with a PASS/SKIPPED line for each check that
-# depends on an optional tool (clang-tidy, clang-format, Clang's
-# -Wthread-safety), so a skipped check is never read as a passed one.
+# the profiler, thread-pool and similarity-engine suites and an ASan/UBSan
+# pass over the stats and correlation suites and the motif, streaming and
+# similarity tests. The telemetry tier includes the run-manifest schema
+# check (cli_telemetry) and the manifest thread count (cli_manifest_threads),
+# so a manifest field drift fails the gate. It ends with a PASS/SKIPPED line
+# for each check that depends on an optional tool (clang-tidy, clang-format,
+# Clang's -Wthread-safety), so a skipped check is never read as a passed one.
 # Smoke-tested by the `run_all_gates_smoke` ctest via --dry-run, which prints
 # the commands without executing them.
 #
@@ -65,14 +66,17 @@ run ctest --test-dir "$build" --output-on-failure -L "lint|lint-arch|threads|cha
 # wall-clock goes (lex / text / arch / hygiene / determinism).
 run "$build/tools/lint/homets_lint" --root "$root" --timing
 
-# Profiler instrumentation under TSan: the mutex-contention and pool-worker
-# hooks are lock-free hot-path writes, so the prof suite gets its own
-# ThreadSanitizer pass (the alloc-tally test self-skips there — the
-# operator-new replacement is compiled out under sanitizers).
+# Profiler instrumentation and the pool under TSan: the mutex-contention and
+# pool-worker hooks are lock-free hot-path writes, so the prof suite gets its
+# own ThreadSanitizer pass (the alloc-tally test self-skips there — the
+# operator-new replacement is compiled out under sanitizers), and
+# threading_test races the pool's one dispatch core and the similarity
+# engine's per-worker workspaces.
 tsan_build="$root/build-gates-tsan"
 run cmake -S "$root" -B "$tsan_build" -DHOMETS_SANITIZE=thread
-run cmake --build "$tsan_build" -j "$jobs" --target prof_test
+run cmake --build "$tsan_build" -j "$jobs" --target prof_test threading_test
 run ctest --test-dir "$tsan_build" --output-on-failure -L prof
+run "$tsan_build/tests/threading_test"
 
 # Sorting, correlation and motif code under ASan/UBSan: the stable radix
 # order bit-casts doubles into keys, the Kendall kernel scatters through index
